@@ -25,12 +25,11 @@ from .families import (
     pn_z_one,
     reverse_bessel_poly,
 )
-from .identities import IdentityReport, run_suite
+from .identities import IdentityReport, run_suite, verify
 from .occupation import (
     SimConfig,
     SimResult,
     estimate_moments,
-    self_similarity_check,
     simulate_skew_walk,
 )
 from .polys import BiPoly, UniPoly
@@ -75,10 +74,10 @@ __all__ = [
     "reverse_bessel_poly",
     "rising_factorial_poly",
     "run_suite",
-    "self_similarity_check",
     "simulate_skew_walk",
     "stirling1",
     "stirling1_signed",
     "stirling2",
+    "verify",
     "__version__",
 ]

@@ -3,20 +3,20 @@
 Subcommands: ``triangle`` (number-family rows), ``poly`` (polynomial
 families), ``verify`` (exact identity suite), ``simulate`` (skew random-walk
 moment estimation).  Output formats: table (human), json, csv.  Exit codes:
-0 success, 1 verification or statistical failure, 2 usage error.  Data goes
-to stdout, diagnostics to stderr.
+0 success, 1 verification or statistical failure, 2 usage error or a value
+too long to print.  Data goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import re
 import sys
 from fractions import Fraction
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import families, identities, occupation, triangles
 
@@ -107,6 +107,35 @@ def _default_jobs(jobs: int | None) -> int:
 
 
 # ---------------------------------------------------------------------------
+# output
+
+class _Output(NamedTuple):
+    """A command's exit code and its output in each format. Lines and rows
+    are lazy iterables and the payload a callable, so only the format that is
+    printed gets built."""
+
+    code: int
+    lines: Iterable[str]  # table
+    payload: Callable[[], object]  # json
+    header: Sequence[str]  # csv
+    rows: Iterable[Sequence]  # csv
+
+
+def _emit(fmt: str, out: _Output) -> None:
+    """Write command output to stdout; nothing else in the CLI does."""
+    stdout = sys.stdout  # read per call: callers may redirect it
+    if fmt == "table":
+        for line in out.lines:
+            print(line, file=stdout)
+    elif fmt == "json":
+        print(json.dumps(out.payload(), indent=2), file=stdout)
+    else:
+        writer = csv.writer(stdout)
+        writer.writerow(out.header)
+        writer.writerows(out.rows)
+
+
+# ---------------------------------------------------------------------------
 # triangle
 
 def _triangle_value_fn(args):
@@ -133,7 +162,7 @@ def _cell(value) -> int | str:
     return value if isinstance(value, int) else str(value)
 
 
-def _cmd_triangle(args) -> int:
+def _cmd_triangle(args) -> int | _Output:
     try:
         value = _triangle_value_fn(args)
     except ValueError as exc:
@@ -141,83 +170,67 @@ def _cmd_triangle(args) -> int:
     if args.n_max < 0:
         return _usage_error("--n must be nonnegative")
     rows = [[value(n, k) for k in range(n + 1)] for n in range(args.n_max + 1)]
-    if args.format == "table":
-        for row in rows:
-            print(" ".join(str(v) for v in row))
-    elif args.format == "json":
-        payload: dict = {"family": args.family, "n_max": args.n_max}
+
+    def payload() -> dict:
+        d: dict = {"family": args.family, "n_max": args.n_max}
         if args.family == "gs":
-            payload["s"] = str(args.s)
-            payload["h"] = str(args.h)
-        payload["rows"] = [[_cell(v) for v in row] for row in rows]
-        print(json.dumps(payload, indent=2))
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "k", "value"])
-        for n, row in enumerate(rows):
-            for k, v in enumerate(row):
-                writer.writerow([n, k, v])
-        sys.stdout.write(buf.getvalue())
-    return 0
+            d["s"] = str(args.s)
+            d["h"] = str(args.h)
+        d["rows"] = [[_cell(v) for v in row] for row in rows]
+        return d
+
+    return _Output(
+        0,
+        lines=(" ".join(str(v) for v in row) for row in rows),
+        payload=payload,
+        header=("n", "k", "value"),
+        rows=((n, k, v) for n, row in enumerate(rows) for k, v in enumerate(row)),
+    )
 
 
 # ---------------------------------------------------------------------------
 # poly
 
-def _print_unipoly(args, poly, z) -> None:
-    if args.format == "table":
-        print(poly.to_str())
-    elif args.format == "json":
-        payload = {
+def _unipoly_output(args, poly, z) -> _Output:
+    return _Output(
+        0,
+        lines=(p.to_str() for p in [poly]),
+        payload=lambda: {
             "which": args.which,
             "n": args.n,
             "z": None if z is None else str(z),
             "variable": "x",
             "coefficients": [str(c) for c in poly.coeffs],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["power", "coefficient"])
-        for power, c in enumerate(poly.coeffs):
-            writer.writerow([power, str(c)])
-        sys.stdout.write(buf.getvalue())
+        },
+        header=("power", "coefficient"),
+        rows=((power, str(c)) for power, c in enumerate(poly.coeffs)),
+    )
 
 
-def _print_bipoly(args, poly) -> None:
+def _bipoly_output(args, poly) -> _Output:
     items = poly.items()
-    if args.format == "table":
-        for (i, j), c in items:
-            print(f"x^{i} z^{j}: {c}")
-    elif args.format == "json":
-        payload = {
+    return _Output(
+        0,
+        lines=(f"x^{i} z^{j}: {c}" for (i, j), c in items),
+        payload=lambda: {
             "which": args.which,
             "n": args.n,
             "variables": ["x", "z"],
             "terms": [{"x": i, "z": j, "coefficient": str(c)} for (i, j), c in items],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["x_power", "z_power", "coefficient"])
-        for (i, j), c in items:
-            writer.writerow([i, j, str(c)])
-        sys.stdout.write(buf.getvalue())
+        },
+        header=("x_power", "z_power", "coefficient"),
+        rows=((i, j, str(c)) for (i, j), c in items),
+    )
 
 
-def _cmd_poly(args) -> int:
+def _cmd_poly(args) -> int | _Output:
     if args.which in ("pn", "pn-closed"):
         if args.n < 1:
             return _usage_error("pn variants require --n >= 1")
         poly = families.pn_recurrence(args.n) if args.which == "pn" else families.pn_closed_form(args.n)
         if args.z is not None:
-            _print_unipoly(args, poly.substitute_z(args.z), args.z)
-        else:
-            _print_bipoly(args, poly)
-        return 0
+            return _unipoly_output(args, poly.substitute_z(args.z), args.z)
+        return _bipoly_output(args, poly)
     if args.z is not None:
         return _usage_error("--z applies only to pn variants")
     if args.n < 0:
@@ -227,14 +240,55 @@ def _cmd_poly(args) -> int:
         "bessel-theta": families.reverse_bessel_poly,
         "chebyshev": families.chebyshev_t,
     }[args.which](args.n)
-    _print_unipoly(args, poly, None)
-    return 0
+    return _unipoly_output(args, poly, None)
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-def _cmd_verify(args) -> int:
+def _jsonable(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+def _report_dict(report: identities.IdentityReport, timings: bool) -> dict:
+    d: dict = {"id": report.identity_id, "range": report.range_desc, "status": report.status}
+    ce = report.counterexample
+    if ce is not None:
+        d["counterexample"] = {"params": _jsonable(ce.params), "lhs": ce.lhs, "rhs": ce.rhs}
+    if timings:
+        d["elapsed_ms"] = round(report.elapsed_ms, 3)
+    return d
+
+
+def _report_row(report: identities.IdentityReport, timings: bool) -> list:
+    ce = report.counterexample
+    row = [
+        report.identity_id,
+        report.range_desc,
+        report.status,
+        json.dumps(_jsonable(ce.params)) if ce else "",
+        ce.lhs if ce else "",
+        ce.rhs if ce else "",
+    ]
+    if timings:
+        row.append(f"{report.elapsed_ms:.3f}")
+    return row
+
+
+def _report_lines(reports):
+    width = max(len(r.identity_id) for r in reports)
+    for r in reports:
+        yield f"{r.status.upper():4}  {r.identity_id:<{width}}  {r.range_desc}  ({r.elapsed_ms:.1f} ms)"
+        ce = r.counterexample
+        if ce is not None:
+            yield f"      first counterexample {ce.params}: lhs={ce.lhs} rhs={ce.rhs}"
+
+
+def _cmd_verify(args) -> int | _Output:
     if args.all and args.ids:
         return _usage_error("pass identity ids or --all, not both")
     if not args.all and not args.ids:
@@ -245,36 +299,68 @@ def _cmd_verify(args) -> int:
         reports = identities.run_suite(args.n_max, selection, jobs=jobs)
     except ValueError as exc:
         return _usage_error(str(exc))
-    if args.format == "json":
-        print(identities.reports_to_json(reports, include_elapsed=args.timings))
-    elif args.format == "csv":
-        sys.stdout.write(identities.reports_to_csv(reports, include_elapsed=args.timings))
-    else:
-        width = max(len(r.identity_id) for r in reports)
-        for r in reports:
-            line = f"{r.status.upper():4}  {r.identity_id:<{width}}  {r.range_desc}  ({r.elapsed_ms:.1f} ms)"
-            if r.counterexample is not None:
-                ce = r.counterexample
-                line += f"\n      first counterexample {ce.params}: lhs={ce.lhs} rhs={ce.rhs}"
-            print(line)
-    return 0 if all(r.passed for r in reports) else 1
+    return _Output(
+        0 if all(r.passed for r in reports) else 1,
+        lines=_report_lines(reports),
+        payload=lambda: [_report_dict(r, args.timings) for r in reports],
+        header=["id", "range", "status", "params", "lhs", "rhs"] + (["elapsed_ms"] if args.timings else []),
+        rows=(_report_row(r, args.timings) for r in reports),
+    )
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
-def _sim_table(result) -> str:
-    lines = [f"t = {result.time_fraction}, paths = {result.paths_used}"]
-    lines.append(f"{'n':>2}  {'mean':>12}  {'stderr':>12}  {'exact':>22}  {'z':>8}")
-    for m in result.moments:
-        se = "-" if m.standard_error is None else f"{m.standard_error:.6g}"
-        z = "-" if m.z_score is None else f"{m.z_score:+.3f}"
-        exact = f"{m.exact_value} ({float(m.exact_value):.6g})"
-        lines.append(f"{m.n:>2}  {m.empirical_mean:>12.8f}  {se:>12}  {exact:>22}  {z:>8}")
-    return "\n".join(lines)
+def _sim_dict(result: occupation.SimResult) -> dict:
+    cfg = result.config
+    return {
+        "config": {
+            "alpha": cfg.alpha,
+            "steps": cfg.steps,
+            "paths": cfg.paths,
+            "max_moment": cfg.max_moment,
+            "seed": cfg.seed,
+        },
+        "time_fraction": str(result.time_fraction),
+        "paths_used": result.paths_used,
+        "moments": [
+            {
+                "n": m.n,
+                "empirical_mean": m.empirical_mean,
+                "standard_error": m.standard_error,
+                "exact": str(m.exact_value),
+                "exact_float": float(m.exact_value),
+                "z_score": m.z_score,
+            }
+            for m in result.moments
+        ],
+    }
 
 
-def _cmd_simulate(args) -> int:
+def _moment_row(m: occupation.MomentEstimate) -> list:
+    return [
+        m.n,
+        repr(m.empirical_mean),
+        "" if m.standard_error is None else repr(m.standard_error),
+        str(m.exact_value),
+        "" if m.z_score is None else repr(m.z_score),
+    ]
+
+
+def _sim_lines(results):
+    for i, result in enumerate(results):
+        if i:
+            yield ""
+        yield f"t = {result.time_fraction}, paths = {result.paths_used}"
+        yield f"{'n':>2}  {'mean':>12}  {'stderr':>12}  {'exact':>22}  {'z':>8}"
+        for m in result.moments:
+            se = "-" if m.standard_error is None else f"{m.standard_error:.6g}"
+            z = "-" if m.z_score is None else f"{m.z_score:+.3f}"
+            exact = f"{m.exact_value} ({float(m.exact_value):.6g})"
+            yield f"{m.n:>2}  {m.empirical_mean:>12.8f}  {se:>12}  {exact:>22}  {z:>8}"
+
+
+def _cmd_simulate(args) -> int | _Output:
     try:
         config = occupation.SimConfig(
             alpha=args.alpha,
@@ -288,38 +374,22 @@ def _cmd_simulate(args) -> int:
             raise ValueError("--t must lie in (0, 1]")
     except ValueError as exc:
         return _usage_error(str(exc))
-    results = [("moments", occupation.estimate_moments(config, jobs=jobs))]
-    if args.t is not None:
-        results.append(("self_similarity", occupation.self_similarity_check(config, args.t, jobs=jobs)))
-    if args.format == "json":
-        if len(results) == 1:
-            print(occupation.result_to_json(results[0][1]))
-        else:
-            print(json.dumps({name: occupation.result_to_dict(r) for name, r in results}, indent=2))
-    elif args.format == "csv":
-        if len(results) == 1:
-            sys.stdout.write(occupation.result_to_csv(results[0][1]))
-        else:
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(["time_fraction", "n", "empirical_mean", "stderr", "exact", "z_score"])
-            for _, r in results:
-                for m in r.moments:
-                    writer.writerow(
-                        [
-                            str(r.time_fraction),
-                            m.n,
-                            repr(m.empirical_mean),
-                            "" if m.standard_error is None else repr(m.standard_error),
-                            str(m.exact_value),
-                            "" if m.z_score is None else repr(m.z_score),
-                        ]
-                    )
-            sys.stdout.write(buf.getvalue())
-    else:
-        print("\n\n".join(_sim_table(r) for _, r in results))
-    z_values = [abs(m.z_score) for _, r in results for m in r.moments if m.z_score is not None]
-    return 0 if all(z < 5.0 for z in z_values) else 1
+    results = [occupation.estimate_moments(config, jobs=jobs)]
+    with_t = args.t is not None
+    if with_t:
+        results.append(occupation.estimate_moments(config, args.t, jobs))
+    z_values = [abs(m.z_score) for r in results for m in r.moments if m.z_score is not None]
+    return _Output(
+        0 if all(z < 5.0 for z in z_values) else 1,
+        lines=_sim_lines(results),
+        payload=lambda: (
+            {"moments": _sim_dict(results[0]), "self_similarity": _sim_dict(results[1])}
+            if with_t
+            else _sim_dict(results[0])
+        ),
+        header=(["time_fraction"] if with_t else []) + ["n", "empirical_mean", "stderr", "exact", "z_score"],
+        rows=(([str(r.time_fraction)] if with_t else []) + _moment_row(m) for r in results for m in r.moments),
+    )
 
 
 _DISPATCH = {
@@ -336,7 +406,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return _DISPATCH[args.command](args)
+    out = _DISPATCH[args.command](args)
+    if isinstance(out, int):  # a usage error, already reported
+        return out
+    try:
+        _emit(args.format, out)
+    except ValueError as exc:  # an int longer than sys.get_int_max_str_digits()
+        return _usage_error(str(exc))
+    return out.code
 
 
 def entry() -> None:

@@ -11,9 +11,6 @@ runs and worker counts.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -60,25 +57,6 @@ class Identity:
     describe_range: Callable[[int], str]
     cases: Callable[[int], Iterable[tuple]]
     evaluate: Callable[[tuple, Triangles], tuple]
-
-
-def _execute(identity: Identity, n_max: int, tables: Triangles | None) -> IdentityReport:
-    t = tables if tables is not None else triangles.DEFAULT
-    start = time.perf_counter()
-    counterexample = None
-    for params in identity.cases(n_max):
-        lhs, rhs = identity.evaluate(params, t)
-        if lhs != rhs:
-            counterexample = Counterexample(params=params, lhs=str(lhs), rhs=str(rhs))
-            break
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return IdentityReport(
-        identity_id=identity.ident,
-        range_desc=identity.describe_range(n_max),
-        status="fail" if counterexample else "pass",
-        counterexample=counterexample,
-        elapsed_ms=elapsed_ms,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +215,8 @@ def validate_composition_triple(s: Fraction, nu: Fraction, sigma: Fraction) -> N
         raise ValueError("composition triple requires nu != sigma (inner parameter)")
 
 
-def _gs_composition_identity(triples: Sequence[tuple]) -> Identity:
+def gs_composition_identity(triples: Sequence[tuple]) -> Identity:
+    """The composition law of GS over the given (s, nu, sigma) triples."""
     # triples sorted so the case order is lexicographic in (n, k, triple)
     norm = tuple(sorted((Fraction(s), Fraction(nu), Fraction(sg)) for s, nu, sg in triples))
     for s, nu, sg in norm:
@@ -269,7 +248,8 @@ def _gs_composition_identity(triples: Sequence[tuple]) -> Identity:
     )
 
 
-def _sss2_identity(z_values: Sequence) -> Identity:
+def sss2_identity(z_values: Sequence) -> Identity:
+    """The z-weighted Stirling product sum as a GS value, over the given z."""
     zs = tuple(sorted(Fraction(z) for z in z_values))
     for z in zs:
         if z == 0 or z == -1:
@@ -317,7 +297,8 @@ def default_hagen_rothe_cases() -> tuple[tuple, ...]:
     return tuple(cases)
 
 
-def _hagen_rothe_identity(cases: Sequence[tuple]) -> Identity:
+def hagen_rothe_identity(cases: Sequence[tuple]) -> Identity:
+    """The Hagen-Rothe convolution on the given (a, b, c, n) cases; ignores n_max."""
     norm = tuple((Fraction(a), int(b), Fraction(c), int(n)) for a, b, c, n in cases)
     for a, b, c, n in norm:
         if n < 0:
@@ -470,12 +451,12 @@ def _build_registry() -> dict[str, Identity]:
                  lambda n: f"0<=k<=n<={n}, a/s grids", _gs_scaling_cases, _gs_scaling_eval),
         Identity("gs-special", "GS specializations: s1, s2, b, B",
                  nk0, _gs_special_cases, _gs_special_eval),
-        _gs_composition_identity(GS_COMPOSITION_TRIPLES),
-        _sss2_identity(SSS2_Z_VALUES),
+        gs_composition_identity(GS_COMPOSITION_TRIPLES),
+        sss2_identity(SSS2_Z_VALUES),
         Identity("lemma-keys", "Stirling convolution keys (two parts)",
                  lambda n: f"parts a: 1<=i<=j<=n<={n}; b: 1<=j<=k<={n}",
                  _lemma_keys_cases, _lemma_keys_eval),
-        _hagen_rothe_identity(default_hagen_rothe_cases()),
+        hagen_rothe_identity(default_hagen_rothe_cases()),
         Identity("gould-3-120", "sum_m C(n,2m) C(m,k) = 2^(n-2k-1) C(n-k,k) n/(n-k)",
                  lambda n: f"1<=n<={n}, 0<=k<=floor(n/2)", _gould_cases, _gould_eval),
         Identity("moment-bessel", "P_n(x,-1/2) as a signed Bessel-number sum",
@@ -501,109 +482,38 @@ IDENTITY_IDS: tuple[str, ...] = tuple(REGISTRY)
 
 
 # ---------------------------------------------------------------------------
-# public verifiers
+# runners
 
-def _verify(ident: str, n_max: int, tables: Triangles | None) -> IdentityReport:
+def verify(ident: str | Identity, n_max: int, tables: Triangles | None = None) -> IdentityReport:
+    """Check one identity exactly on every case up to ``n_max``.
+
+    ``ident`` is a registry id or an ``Identity``, such as one built by
+    ``gs_composition_identity``, ``sss2_identity`` or ``hagen_rothe_identity``.
+    The report carries the first failing case in case order, if any.
+    """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    return _execute(REGISTRY[ident], n_max, tables)
+    if isinstance(ident, str):
+        if ident not in REGISTRY:
+            raise ValueError(f"unknown identity id: {ident}")
+        ident = REGISTRY[ident]
+    t = tables if tables is not None else triangles.DEFAULT
+    start = time.perf_counter()
+    counterexample = None
+    for params in ident.cases(n_max):
+        lhs, rhs = ident.evaluate(params, t)
+        if lhs != rhs:
+            counterexample = Counterexample(params=params, lhs=str(lhs), rhs=str(rhs))
+            break
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return IdentityReport(
+        identity_id=ident.ident,
+        range_desc=ident.describe_range(n_max),
+        status="fail" if counterexample else "pass",
+        counterexample=counterexample,
+        elapsed_ms=elapsed_ms,
+    )
 
-
-def verify_thm1(n_max: int, tables: Triangles | None = None) -> IdentityReport:
-    return _verify("thm1", n_max, tables)
-
-
-def verify_thm2(n_max: int, tables: Triangles | None = None) -> IdentityReport:
-    return _verify("thm2", n_max, tables)
-
-
-def verify_inversion(n_max: int, tables: Triangles | None = None) -> IdentityReport:
-    return _verify("inversion", n_max, tables)
-
-
-def verify_lah(n_max: int, tables: Triangles | None = None) -> IdentityReport:
-    return _verify("lah", n_max, tables)
-
-
-def verify_bessel_duality(n_max: int, tables: Triangles | None = None) -> IdentityReport:
-    return _verify("duality", n_max, tables)
-
-
-def verify_cross_relation(n_max: int, tables: Triangles | None = None) -> IdentityReport:
-    return _verify("cross-bb", n_max, tables)
-
-
-def verify_gs_scaling(n_max: int, tables: Triangles | None = None) -> IdentityReport:
-    return _verify("gs-scaling", n_max, tables)
-
-
-def verify_gs_specializations(n_max: int, tables: Triangles | None = None) -> IdentityReport:
-    return _verify("gs-special", n_max, tables)
-
-
-def verify_gs_composition(
-    n_max: int, triples: Sequence[tuple] | None = None, tables: Triangles | None = None
-) -> IdentityReport:
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    ident = REGISTRY["gs-composition"] if triples is None else _gs_composition_identity(triples)
-    return _execute(ident, n_max, tables)
-
-
-def verify_sss2(
-    n_max: int, z_values: Sequence | None = None, tables: Triangles | None = None
-) -> IdentityReport:
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    ident = REGISTRY["sss2"] if z_values is None else _sss2_identity(z_values)
-    return _execute(ident, n_max, tables)
-
-
-def verify_lemma_keys(n_max: int, tables: Triangles | None = None) -> IdentityReport:
-    return _verify("lemma-keys", n_max, tables)
-
-
-def verify_hagen_rothe(
-    cases: Sequence[tuple] | None = None, tables: Triangles | None = None
-) -> IdentityReport:
-    ident = REGISTRY["hagen-rothe"] if cases is None else _hagen_rothe_identity(cases)
-    return _execute(ident, 1, tables)
-
-
-def verify_gould_3_120(n_max: int, tables: Triangles | None = None) -> IdentityReport:
-    return _verify("gould-3-120", n_max, tables)
-
-
-def verify_moment_bessel_form(n_max: int, tables: Triangles | None = None) -> IdentityReport:
-    return _verify("moment-bessel", n_max, tables)
-
-
-def verify_theta_b(n_max: int, tables: Triangles | None = None) -> IdentityReport:
-    return _verify("theta-b", n_max, tables)
-
-
-def verify_pn_closed_form(n_max: int, tables: Triangles | None = None) -> IdentityReport:
-    return _verify("pn-closed", n_max, tables)
-
-
-def verify_pn_special_z(n_max: int, tables: Triangles | None = None) -> IdentityReport:
-    return _verify("pn-special-z", n_max, tables)
-
-
-def verify_rising_factorial(n_max: int, tables: Triangles | None = None) -> IdentityReport:
-    return _verify("rising-factorial", n_max, tables)
-
-
-def verify_falling_factorial(n_max: int, tables: Triangles | None = None) -> IdentityReport:
-    return _verify("falling-factorial", n_max, tables)
-
-
-def verify_bessel_coefficients(n_max: int, tables: Triangles | None = None) -> IdentityReport:
-    return _verify("bessel-b-coeff", n_max, tables)
-
-
-# ---------------------------------------------------------------------------
-# suite runner
 
 def _resolve_selection(selection) -> tuple[str, ...]:
     if isinstance(selection, str):
@@ -620,84 +530,23 @@ def _resolve_selection(selection) -> tuple[str, ...]:
     return tuple(i for i in IDENTITY_IDS if i in chosen)
 
 
-def _run_default(ident: str, n_max: int) -> IdentityReport:
-    return _execute(REGISTRY[ident], n_max, None)
-
-
 def run_suite(
     n_max: int,
     selection="all",
     tables: Triangles | None = None,
     jobs: int | None = 1,
 ) -> list[IdentityReport]:
-    """Run the selected verifiers; reports come back in registry order.
+    """``verify`` each selected identity; reports come back in registry order.
 
     ``selection`` is "all" or an iterable of identity ids.  With jobs > 1
     the identities fan out over a process pool (only when no custom tables
     are injected); results are independent of the worker count.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
     ids = _resolve_selection(selection)
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs > 1 and tables is None and len(ids) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
-            futures = {ident: pool.submit(_run_default, ident, n_max) for ident in ids}
+            futures = {ident: pool.submit(verify, ident, n_max) for ident in ids}
             return [futures[ident].result() for ident in ids]
-    return [_execute(REGISTRY[ident], n_max, tables) for ident in ids]
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-def report_to_dict(report: IdentityReport, include_elapsed: bool = False) -> dict:
-    d: dict = {
-        "id": report.identity_id,
-        "range": report.range_desc,
-        "status": report.status,
-    }
-    if report.counterexample is not None:
-        d["counterexample"] = {
-            "params": _jsonable(report.counterexample.params),
-            "lhs": report.counterexample.lhs,
-            "rhs": report.counterexample.rhs,
-        }
-    if include_elapsed:
-        d["elapsed_ms"] = round(report.elapsed_ms, 3)
-    return d
-
-
-def reports_to_json(reports: Iterable[IdentityReport], include_elapsed: bool = False) -> str:
-    return json.dumps([report_to_dict(r, include_elapsed) for r in reports], indent=2)
-
-
-def reports_to_csv(reports: Iterable[IdentityReport], include_elapsed: bool = False) -> str:
-    buf = io.StringIO()
-    fields = ["id", "range", "status", "params", "lhs", "rhs"]
-    if include_elapsed:
-        fields.append("elapsed_ms")
-    writer = csv.writer(buf)
-    writer.writerow(fields)
-    for r in reports:
-        ce = r.counterexample
-        row = [
-            r.identity_id,
-            r.range_desc,
-            r.status,
-            json.dumps(_jsonable(ce.params)) if ce else "",
-            ce.lhs if ce else "",
-            ce.rhs if ce else "",
-        ]
-        if include_elapsed:
-            row.append(f"{r.elapsed_ms:.3f}")
-        writer.writerow(row)
-    return buf.getvalue()
+    return [verify(ident, n_max, tables) for ident in ids]

@@ -28,9 +28,6 @@ regardless of the worker count.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -198,68 +195,10 @@ def _summarize(counts: np.ndarray, config: SimConfig, t: Fraction) -> SimResult:
     return SimResult(config=config, time_fraction=t, moments=tuple(records), paths_used=m_paths)
 
 
-def estimate_moments(config: SimConfig, jobs: int = 1) -> SimResult:
-    """Empirical moments E[A_1^n] for n = 1..max_moment against the exact
-    polynomial references, with standard errors and z-scores."""
-    counts = path_occupation_counts(config, 1, jobs)
-    return _summarize(counts, config, Fraction(1))
-
-
-def self_similarity_check(config: SimConfig, t: Rational, jobs: int = 1) -> SimResult:
-    """Estimate E[A_t^n] by truncating each path at fraction t of its steps;
-    exact references scale as t^n times the t = 1 values."""
-    tf = Fraction(t)
-    if not 0 < tf <= 1:
-        raise ValueError("time fraction must lie in (0, 1]")
-    counts = path_occupation_counts(config, tf, jobs)
-    return _summarize(counts, config, tf)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def result_to_dict(result: SimResult) -> dict:
-    cfg = result.config
-    return {
-        "config": {
-            "alpha": cfg.alpha,
-            "steps": cfg.steps,
-            "paths": cfg.paths,
-            "max_moment": cfg.max_moment,
-            "seed": cfg.seed,
-        },
-        "time_fraction": str(result.time_fraction),
-        "paths_used": result.paths_used,
-        "moments": [
-            {
-                "n": m.n,
-                "empirical_mean": m.empirical_mean,
-                "standard_error": m.standard_error,
-                "exact": str(m.exact_value),
-                "exact_float": float(m.exact_value),
-                "z_score": m.z_score,
-            }
-            for m in result.moments
-        ],
-    }
-
-
-def result_to_json(result: SimResult) -> str:
-    return json.dumps(result_to_dict(result), indent=2)
-
-
-def result_to_csv(result: SimResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "empirical_mean", "stderr", "exact", "z_score"])
-    for m in result.moments:
-        writer.writerow(
-            [
-                m.n,
-                repr(m.empirical_mean),
-                "" if m.standard_error is None else repr(m.standard_error),
-                str(m.exact_value),
-                "" if m.z_score is None else repr(m.z_score),
-            ]
-        )
-    return buf.getvalue()
+def estimate_moments(config: SimConfig, t: Rational = 1, jobs: int = 1) -> SimResult:
+    """Empirical moments E[A_t^n] for n = 1..max_moment, each path truncated
+    at fraction t of its steps, against the exact references t^n P_n(alpha, -1/2),
+    with standard errors and z-scores."""
+    t = Fraction(t)
+    counts = path_occupation_counts(config, t, jobs)
+    return _summarize(counts, config, t)

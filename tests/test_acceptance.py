@@ -9,32 +9,9 @@ import json
 import time
 from fractions import Fraction
 
-from stirbess import identities
 from stirbess.cli import main as cli_main
 from stirbess.families import pn_closed_form, pn_recurrence
-from stirbess.identities import (
-    REGISTRY,
-    run_suite,
-    verify_bessel_coefficients,
-    verify_bessel_duality,
-    verify_cross_relation,
-    verify_falling_factorial,
-    verify_gould_3_120,
-    verify_gs_composition,
-    verify_gs_scaling,
-    verify_gs_specializations,
-    verify_hagen_rothe,
-    verify_inversion,
-    verify_lah,
-    verify_lemma_keys,
-    verify_moment_bessel_form,
-    verify_pn_special_z,
-    verify_rising_factorial,
-    verify_sss2,
-    verify_theta_b,
-    verify_thm1,
-    verify_thm2,
-)
+from stirbess.identities import REGISTRY, run_suite, verify
 from stirbess.occupation import SimConfig, estimate_moments
 from stirbess.triangles import Triangles, stirling1, stirling2
 
@@ -61,7 +38,7 @@ def test_c1_recurrence_equals_closed_form():
 
 def test_c2_first_bessel_summation_to_60():
     start = time.perf_counter()
-    report = verify_thm1(60)
+    report = verify("thm1", 60)
     elapsed = time.perf_counter() - start
     _report(
         "criterion 2: thm1 sum equals b(n,k), 1 <= k <= n <= 60 (exact)",
@@ -71,7 +48,7 @@ def test_c2_first_bessel_summation_to_60():
 
 
 def test_c3_second_bessel_summation_to_60():
-    report = verify_thm2(60)
+    report = verify("thm2", 60)
     _report(
         "criterion 3: thm2 sum equals (-1)^(n-k) B(n,k) incl. forced zeros, n <= 60 (exact)",
         report.passed,
@@ -79,7 +56,7 @@ def test_c3_second_bessel_summation_to_60():
 
 
 def test_c4_special_z_slices():
-    report = verify_pn_special_z(25)
+    report = verify("pn-special-z", 25)
     _report(
         "criterion 4: P_n slices at z in {0,-1,1,-1/2,-2} match closed forms, n <= 25 (exact)",
         report.passed,
@@ -89,22 +66,22 @@ def test_c4_special_z_slices():
 def test_c5_supporting_identities():
     start = time.perf_counter()
     checks = [
-        verify_inversion(40),
-        verify_lah(40),
-        verify_bessel_duality(40),
-        verify_cross_relation(40),
-        verify_gs_scaling(20),
-        verify_gs_specializations(25),
-        verify_gs_composition(20),
-        verify_sss2(20),
-        verify_lemma_keys(20),
-        verify_hagen_rothe(),
-        verify_gould_3_120(40),
-        verify_moment_bessel_form(20),
-        verify_theta_b(20),
-        verify_rising_factorial(30),
-        verify_falling_factorial(30),
-        verify_bessel_coefficients(25),
+        verify("inversion", 40),
+        verify("lah", 40),
+        verify("duality", 40),
+        verify("cross-bb", 40),
+        verify("gs-scaling", 20),
+        verify("gs-special", 25),
+        verify("gs-composition", 20),
+        verify("sss2", 20),
+        verify("lemma-keys", 20),
+        verify("hagen-rothe", 1),
+        verify("gould-3-120", 40),
+        verify("moment-bessel", 20),
+        verify("theta-b", 20),
+        verify("rising-factorial", 30),
+        verify("falling-factorial", 30),
+        verify("bessel-b-coeff", 25),
     ]
     elapsed = time.perf_counter() - start
     failed = [r.identity_id for r in checks if not r.passed]

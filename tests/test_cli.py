@@ -1,4 +1,10 @@
+import hashlib
 import json
+import re
+import sys
+from fractions import Fraction
+
+import pytest
 
 from stirbess import identities
 from stirbess.cli import main
@@ -9,6 +15,20 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def always_fails(monkeypatch):
+    """Register an identity whose only case fails."""
+    broken = Identity(
+        ident="always-fails",
+        summary="stub",
+        describe_range=lambda n: "1 case",
+        cases=lambda n: iter([(1, Fraction(-1, 2))]),
+        evaluate=lambda params, tables: (0, 1),
+    )
+    monkeypatch.setitem(identities.REGISTRY, "always-fails", broken)
+    monkeypatch.setattr(identities, "IDENTITY_IDS", identities.IDENTITY_IDS + ("always-fails",))
 
 
 class TestTriangle:
@@ -138,16 +158,7 @@ class TestVerify:
         assert lines[0] == "id,range,status,params,lhs,rhs"
         assert len(lines) == 3
 
-    def test_failure_exit_code(self, capsys, monkeypatch):
-        broken = Identity(
-            ident="always-fails",
-            summary="stub",
-            describe_range=lambda n: "1 case",
-            cases=lambda n: iter([(1,)]),
-            evaluate=lambda params, tables: (0, 1),
-        )
-        monkeypatch.setitem(identities.REGISTRY, "always-fails", broken)
-        monkeypatch.setattr(identities, "IDENTITY_IDS", identities.IDENTITY_IDS + ("always-fails",))
+    def test_failure_exit_code(self, capsys, always_fails):
         code, out, _ = run_cli(capsys, "verify", "always-fails", "--jobs", "1")
         assert code == 1
         assert "FAIL" in out and "counterexample" in out
@@ -202,9 +213,77 @@ class TestSimulate:
         assert "exact" in out and "1/2" in out
 
 
+class TestValuesTooLargeToPrint:
+    """Python refuses str() on an int longer than sys.get_int_max_str_digits()."""
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_triangle(self, capsys, fmt):
+        args = ("triangle", "gs", "--s", "0", "--h", "1" + "0" * 200, "--n", "25", "--format", fmt)
+        code, _, err = run_cli(capsys, *args)
+        assert code == 2
+        assert err.startswith("stirbess: error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_poly(self, capsys, fmt):
+        # --n 1500 passes the default limit; at the lowest limit --n 300 does, much sooner
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, _, err = run_cli(capsys, "poly", "bessel-y", "--n", "300", "--format", fmt)
+        finally:
+            sys.set_int_max_str_digits(old_limit)
+        assert code == 2
+        assert err.startswith("stirbess: error: ") and "Traceback" not in err
+
+
 class TestParserBasics:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
     def test_missing_command(self, capsys):
         assert main([]) == 2
+
+
+# sha256 of stdout per command line, so any changed output byte fails here;
+# the verify table's elapsed times are masked first
+_SIM = "simulate --alpha 0.4 --steps 60 --paths 300 --moments 2 --seed 5 --jobs 1"
+GOLDEN_SHA256 = {
+    "triangle stirling2 --n 7 --format table": "3037e486a6e74d14e069e9bed3c7d18758240b1dddf34d56117878dc691cc269",
+    "triangle stirling2 --n 7 --format json": "5d6f44ea6cb916a4535aca58365e1f488cb685e0aeeb01bad187369404068aef",
+    "triangle stirling2 --n 7 --format csv": "e867ae8ea83060bd0971ab63d0f403c5ae7d5d51147d091a97a2f99d3a08aad9",
+    "triangle bessel-b --n 7 --format table": "79e2c822d21a0d74f85f7290c243e0bf8490d0549a4f1eeb0f45e7eb55b4d4f7",
+    "triangle bessel-b --n 7 --format json": "79cbb719bf2357340d7bdb79ad30d8573b7b1f7c4a29b708087ce1b54e92adf0",
+    "triangle bessel-b --n 7 --format csv": "d7ffe7241b0806ae38ac10305ec27595122cb5f5684ecb0cd721558b559596b2",
+    "triangle gs --s 1/2 --h -3 --n 6 --format table": "fecdff1f53dc7f52a83cd2d65ce9252dfff19830a5a7c2a40b74f27c789b7eb4",
+    "triangle gs --s 1/2 --h -3 --n 6 --format json": "584c964afdefb82bc27a873398437c5142a22a99fb1869669f7adabbeef381b0",
+    "triangle gs --s 1/2 --h -3 --n 6 --format csv": "130c3003a15fa1627a4932d88b4b48de09f85cde04cd51242b0194ebb0dca5d4",
+    "poly pn --n 4 --format table": "91b6841e2610acc2716842f8b8ffa6f5b6fda8ff9937b5186036977be0bf7c5b",
+    "poly pn --n 4 --format json": "29c0ca1559d36a0b4d8cf3b51948a37d834d04c81c03ab3cd962bd2abc461b4e",
+    "poly pn --n 4 --format csv": "8c1d6f740ee9433a55f5dea9d835cda52dd2e4913c4bf06ec098f66c474189fe",
+    "poly pn --n 4 --z -1/2 --format table": "617a9201461561c1949859f5caecd923148e64a1f443874aff322c16fe374a28",
+    "poly pn --n 4 --z -1/2 --format json": "7a1e94f7eb03d21d042931538981e440cb28ac9036bc2ed589daaccc3c5a7002",
+    "poly pn --n 4 --z -1/2 --format csv": "19093d60a560505508dd6cd74317f6677919bca395fcaf70e40c1e16bdcacc5b",
+    "poly bessel-y --n 5 --format table": "491b35f2dbe0bc3835fcc5aa7662bb9f44bc92290ff9a3ea064b1977f11db880",
+    "poly bessel-y --n 5 --format json": "c73221863871efa9681f01698b71c5906dbad778f6c7491d32e2f78ed9346096",
+    "poly bessel-y --n 5 --format csv": "0c20a70b2d1a935ddbf212193ab28280a5c9cc1d2ccdc376056e37b42425946f",
+    "verify thm1 lah --n-max 6 --jobs 1 --format table": "0275a23c3e40bb2a36e50ec1ed2278c653ab692fa7efbdf572468c2a1ff59153",
+    "verify thm1 lah --n-max 6 --jobs 1 --format json": "9c8a0fbb0af71d5a91215ca436ba184877df002a4c718d1a80280ade880f3890",
+    "verify thm1 lah --n-max 6 --jobs 1 --format csv": "edd33d0ef550194d999644aca1af5364de683d7e9e92de4c185689ad876d48a0",
+    "verify always-fails --jobs 1 --format table": "57e33aa648de04ffcd64f538f3431a403941ae39da7ff3b7818aaa11efc88570",
+    "verify always-fails --jobs 1 --format json": "694d64af67a2cf14c834ed848498912e5c8dfc1e089e0c46962a264a6bca117c",
+    "verify always-fails --jobs 1 --format csv": "9f6b344bfb3db331fde66f8d555449f0c3b3b6fb1dcae53167bf527931b07a35",
+    _SIM + " --format table": "7954920ba817a453c335d3a662f143b4c92a57da39d60edc712ff05e26184dca",
+    _SIM + " --format json": "1f5081dec2f72623ea0017d1e7497f0e8ab4de17174947eeaba30e806870e643",
+    _SIM + " --format csv": "8f127357fcf98ef48f71e0d906eff9f3a9586cf98a28dd263fc3d4ef3b17e0e8",
+    _SIM + " --t 1/2 --format table": "cbb5e3f6a4595e67b215b7c21e153b64a6ef233a4da4b9dfaaae574e96611083",
+    _SIM + " --t 1/2 --format json": "ed92554feb6b827f969fffa6084b807c7beb4033b862471ca97342e07180d836",
+    _SIM + " --t 1/2 --format csv": "c55a832de79c262c23c08de66ae2da9fe0c23e8cd727c773dfb3ce175b119a30",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
+def test_golden_output(capsys, always_fails, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == (1 if "always-fails" in command else 0)
+    out = re.sub(r"\(\d+\.\d ms\)", "(- ms)", out)
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]

@@ -3,32 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from stirbess import identities
+from stirbess import triangles
+from stirbess.cli import main
 from stirbess.identities import (
     REGISTRY,
     IDENTITY_IDS,
     default_hagen_rothe_cases,
-    reports_to_csv,
-    reports_to_json,
+    gs_composition_identity,
+    hagen_rothe_identity,
     run_suite,
-    verify_bessel_duality,
-    verify_falling_factorial,
-    verify_gould_3_120,
-    verify_gs_composition,
-    verify_gs_scaling,
-    verify_gs_specializations,
-    verify_hagen_rothe,
-    verify_inversion,
-    verify_lah,
-    verify_lemma_keys,
-    verify_moment_bessel_form,
-    verify_pn_closed_form,
-    verify_pn_special_z,
-    verify_rising_factorial,
-    verify_sss2,
-    verify_theta_b,
-    verify_thm1,
-    verify_thm2,
+    sss2_identity,
+    verify,
 )
 from stirbess.triangles import Triangles, bessel_B, bessel_b, lah, stirling1, stirling2
 
@@ -70,7 +55,7 @@ class TestHandCases:
         assert lhs == 7 == stirling2(4, 2)
 
     def test_hagen_rothe_hand_case(self):
-        report = verify_hagen_rothe(cases=[(1, 2, 4, 2)])
+        report = verify(hagen_rothe_identity([(1, 2, 4, 2)]), 1)
         assert report.passed
         # by hand: 6 + 2 + 2 = 10 = C(5, 2)
 
@@ -83,91 +68,95 @@ class TestHandCases:
 
 class TestVerifiersPass:
     def test_thm1(self):
-        assert verify_thm1(25).passed
+        assert verify("thm1", 25).passed
 
     def test_thm2(self):
-        assert verify_thm2(25).passed
+        assert verify("thm2", 25).passed
 
     def test_inversion(self):
-        assert verify_inversion(25).passed
+        assert verify("inversion", 25).passed
 
     def test_lah(self):
-        assert verify_lah(25).passed
+        assert verify("lah", 25).passed
 
     def test_duality(self):
-        assert verify_bessel_duality(25).passed
+        assert verify("duality", 25).passed
 
     def test_gs_scaling(self):
-        assert verify_gs_scaling(12).passed
+        assert verify("gs-scaling", 12).passed
 
     def test_gs_specializations(self):
-        assert verify_gs_specializations(15).passed
+        assert verify("gs-special", 15).passed
 
     def test_gs_composition_default_triples(self):
-        report = verify_gs_composition(12)
+        report = verify("gs-composition", 12)
         assert report.passed
 
     def test_gs_composition_custom_triple(self):
-        assert verify_gs_composition(8, triples=[(Fraction(1, 2), Fraction(-3), Fraction(2))]).passed
+        assert verify(gs_composition_identity([(Fraction(1, 2), Fraction(-3), Fraction(2))]), 8).passed
 
     def test_sss2(self):
-        assert verify_sss2(15).passed
+        assert verify("sss2", 15).passed
 
     def test_sss2_custom_z(self):
-        assert verify_sss2(10, z_values=[Fraction(5), Fraction(-1, 3)]).passed
+        assert verify(sss2_identity([Fraction(5), Fraction(-1, 3)]), 10).passed
 
     def test_lemma_keys(self):
-        assert verify_lemma_keys(15).passed
+        assert verify("lemma-keys", 15).passed
 
     def test_hagen_rothe_default_grid(self):
-        assert verify_hagen_rothe().passed
+        assert verify("hagen-rothe", 1).passed
 
     def test_gould(self):
-        assert verify_gould_3_120(25).passed
+        assert verify("gould-3-120", 25).passed
 
     def test_moment_bessel(self):
-        assert verify_moment_bessel_form(15).passed
+        assert verify("moment-bessel", 15).passed
 
     def test_theta_b(self):
-        assert verify_theta_b(15).passed
+        assert verify("theta-b", 15).passed
 
     def test_pn_closed(self):
-        assert verify_pn_closed_form(12).passed
+        assert verify("pn-closed", 12).passed
 
     def test_pn_special_z(self):
-        assert verify_pn_special_z(12).passed
+        assert verify("pn-special-z", 12).passed
 
     def test_rising_falling(self):
-        assert verify_rising_factorial(20).passed
-        assert verify_falling_factorial(20).passed
+        assert verify("rising-factorial", 20).passed
+        assert verify("falling-factorial", 20).passed
 
 
 class TestParameterValidation:
     def test_composition_triple_nu_zero(self):
         with pytest.raises(ValueError):
-            verify_gs_composition(5, triples=[(1, 0, 1)])
+            verify(gs_composition_identity([(1, 0, 1)]), 5)
 
     def test_composition_triple_sigma_nonpositive(self):
         with pytest.raises(ValueError):
-            verify_gs_composition(5, triples=[(1, 2, -1)])
+            verify(gs_composition_identity([(1, 2, -1)]), 5)
 
     def test_composition_triple_nu_equals_sigma(self):
         with pytest.raises(ValueError):
-            verify_gs_composition(5, triples=[(1, 2, 2)])
+            verify(gs_composition_identity([(1, 2, 2)]), 5)
 
     def test_sss2_rejects_forbidden_z(self):
         with pytest.raises(ValueError):
-            verify_sss2(5, z_values=[Fraction(0)])
+            verify(sss2_identity([Fraction(0)]), 5)
         with pytest.raises(ValueError):
-            verify_sss2(5, z_values=[Fraction(-1)])
+            verify(sss2_identity([Fraction(-1)]), 5)
 
     def test_hagen_rothe_rejects_pole(self):
         with pytest.raises(ValueError):
-            verify_hagen_rothe(cases=[(Fraction(-2), 1, Fraction(3), 4)])  # a + b*2 = 0
+            verify(hagen_rothe_identity([(Fraction(-2), 1, Fraction(3), 4)]), 1)  # a + b*2 = 0
+
+    def test_unknown_identity_id(self):
+        with pytest.raises(ValueError, match="unknown identity id"):
+            verify("nosuch", 5)
 
     def test_n_max_must_be_positive(self):
         with pytest.raises(ValueError):
-            verify_thm1(0)
+            verify("thm1", 0)
         with pytest.raises(ValueError):
             run_suite(0)
 
@@ -198,7 +187,7 @@ class TestSuiteRunner:
     def test_parallel_matches_serial(self):
         serial = run_suite(8, "all", jobs=1)
         parallel = run_suite(8, "all", jobs=4)
-        strip = lambda rs: [identities.report_to_dict(r) for r in rs]
+        strip = lambda rs: [(r.identity_id, r.range_desc, r.status, r.counterexample) for r in rs]
         assert strip(serial) == strip(parallel)
 
 
@@ -225,7 +214,7 @@ class TestMutationSensitivity:
         tables = _corrupted_tables(6, 3)
         for ident_id in ("thm1", "inversion"):
             identity = REGISTRY[ident_id]
-            report = identities._execute(identity, 10, tables)
+            report = verify(ident_id, 10, tables)
             assert not report.passed
             failures = [
                 params
@@ -236,40 +225,39 @@ class TestMutationSensitivity:
 
     def test_counterexample_reproduces_mismatch(self):
         tables = _corrupted_tables(6, 3)
-        report = identities._execute(REGISTRY["inversion"], 10, tables)
+        report = verify("inversion", 10, tables)
         ce = report.counterexample
         lhs, rhs = REGISTRY["inversion"].evaluate(ce.params, tables)
         assert str(lhs) == ce.lhs and str(rhs) == ce.rhs and lhs != rhs
 
     def test_clean_tables_unaffected(self):
-        assert verify_inversion(10).passed
+        assert verify("inversion", 10).passed
 
 
 class TestSerialization:
-    def test_json_round_trip_and_no_timing_by_default(self):
-        reports = run_suite(6, ["thm1", "lah"])
-        text = reports_to_json(reports)
+    def test_json_round_trip_and_no_timing_by_default(self, capsys):
+        assert main(["verify", "thm1", "lah", "--n-max", "6", "--format", "json", "--jobs", "1"]) == 0
+        text = capsys.readouterr().out
         parsed = json.loads(text)
-        assert json.dumps(parsed, indent=2) == text
+        assert json.dumps(parsed, indent=2) + "\n" == text
         assert all(set(entry) == {"id", "range", "status"} for entry in parsed)
 
-    def test_json_with_timings(self):
-        reports = run_suite(4, ["thm1"])
-        parsed = json.loads(reports_to_json(reports, include_elapsed=True))
+    def test_json_with_timings(self, capsys):
+        assert main(["verify", "thm1", "--n-max", "4", "--format", "json", "--timings", "--jobs", "1"]) == 0
+        parsed = json.loads(capsys.readouterr().out)
         assert "elapsed_ms" in parsed[0]
 
-    def test_counterexample_serialized(self):
-        tables = _corrupted_tables(6, 3)
-        reports = run_suite(8, ["inversion"], tables=tables)
-        entry = json.loads(reports_to_json(reports))[0]
+    def test_counterexample_serialized(self, capsys, monkeypatch):
+        monkeypatch.setattr(triangles, "DEFAULT", _corrupted_tables(6, 3))
+        assert main(["verify", "inversion", "--n-max", "8", "--format", "json", "--jobs", "1"]) == 1
+        entry = json.loads(capsys.readouterr().out)[0]
         assert entry["status"] == "fail"
         assert entry["counterexample"]["params"] == [6, 1]
         assert entry["counterexample"]["lhs"] != entry["counterexample"]["rhs"]
 
-    def test_csv_header_and_rows(self):
-        reports = run_suite(5, ["thm1", "thm2"])
-        text = reports_to_csv(reports)
-        lines = text.strip().splitlines()
+    def test_csv_header_and_rows(self, capsys):
+        assert main(["verify", "thm1", "thm2", "--n-max", "5", "--format", "csv", "--jobs", "1"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "id,range,status,params,lhs,rhs"
         assert len(lines) == 3
 

@@ -4,14 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stirbess.cli import main
 from stirbess.occupation import (
     SimConfig,
     estimate_moments,
     path_occupation_counts,
-    result_to_csv,
-    result_to_dict,
-    result_to_json,
-    self_similarity_check,
     simulate_skew_walk,
 )
 
@@ -67,7 +64,7 @@ class TestEstimateMoments:
         first = estimate_moments(config, jobs=1)
         second = estimate_moments(config, jobs=1)
         third = estimate_moments(config, jobs=3)
-        assert result_to_json(first) == result_to_json(second) == result_to_json(third)
+        assert first == second == third
 
     def test_worker_independence_spans_blocks(self, monkeypatch):
         # shrink the block size so the run really is split across streams
@@ -75,7 +72,7 @@ class TestEstimateMoments:
         config = SimConfig(alpha=0.61, steps=150, paths=2000, max_moment=2, seed=29)
         serial = estimate_moments(config, jobs=1)
         parallel = estimate_moments(config, jobs=4)
-        assert result_to_json(serial) == result_to_json(parallel)
+        assert serial == parallel
 
     def test_moments_non_increasing(self):
         config = SimConfig(alpha=0.6, steps=400, paths=2000, max_moment=5, seed=3)
@@ -127,17 +124,17 @@ class TestSelfSimilarity:
     def test_t_one_matches_estimate(self):
         config = SimConfig(alpha=0.35, steps=250, paths=1500, max_moment=3, seed=13)
         a = estimate_moments(config)
-        b = self_similarity_check(config, 1)
-        assert result_to_json(a) == result_to_json(b)
+        b = estimate_moments(config, t=1)
+        assert a == b
 
     def test_exact_reference_scales(self):
         config = SimConfig(alpha=0.5, steps=200, paths=100, max_moment=2, seed=2)
-        result = self_similarity_check(config, Fraction(1, 2))
+        result = estimate_moments(config, t=Fraction(1, 2))
         assert result.moments[0].exact_value == Fraction(1, 4)  # t * P_1(1/2)
 
     def test_reference_value_quarter_t(self):
         config = SimConfig(alpha=0.7, steps=200, paths=100, max_moment=2, seed=2)
-        result = self_similarity_check(config, Fraction(1, 4))
+        result = estimate_moments(config, t=Fraction(1, 4))
         a = Fraction(0.7)
         expected = Fraction(1, 16) * (a + a * a) / 2
         assert result.moments[1].exact_value == expected
@@ -145,27 +142,30 @@ class TestSelfSimilarity:
 
     def test_statistical_agreement(self):
         config = SimConfig(alpha=0.5, steps=2000, paths=20_000, max_moment=2, seed=19)
-        result = self_similarity_check(config, Fraction(1, 2))
+        result = estimate_moments(config, t=Fraction(1, 2))
         for m in result.moments:
             assert abs(m.z_score) < 5.0
 
     def test_domain_errors(self):
         config = SimConfig(alpha=0.5, steps=10, paths=10, max_moment=1, seed=1)
         with pytest.raises(ValueError):
-            self_similarity_check(config, 0)
+            estimate_moments(config, t=0)
         with pytest.raises(ValueError):
-            self_similarity_check(config, Fraction(3, 2))
+            estimate_moments(config, t=Fraction(3, 2))
 
 
 class TestSerialization:
-    def _result(self):
-        config = SimConfig(alpha=0.5, steps=100, paths=200, max_moment=2, seed=4)
-        return estimate_moments(config)
+    ARGS = ["simulate", "--alpha", "0.5", "--steps", "100", "--paths", "200", "--moments", "2", "--seed", "4",
+            "--jobs", "1", "--format"]
 
-    def test_json_round_trip(self):
-        text = result_to_json(self._result())
+    def _output(self, capsys, fmt):
+        assert main(self.ARGS + [fmt]) == 0
+        return capsys.readouterr().out
+
+    def test_json_round_trip(self, capsys):
+        text = self._output(capsys, "json")
         parsed = json.loads(text)
-        assert json.dumps(parsed, indent=2) == text
+        assert json.dumps(parsed, indent=2) + "\n" == text
         assert parsed["config"]["seed"] == 4
         assert parsed["time_fraction"] == "1"
         assert len(parsed["moments"]) == 2
@@ -173,14 +173,13 @@ class TestSerialization:
         assert set(first) == {"n", "empirical_mean", "standard_error", "exact", "exact_float", "z_score"}
         assert first["exact"] == "1/2"
 
-    def test_csv_shape(self):
-        text = result_to_csv(self._result())
-        lines = text.strip().splitlines()
+    def test_csv_shape(self, capsys):
+        lines = self._output(capsys, "csv").strip().splitlines()
         assert lines[0] == "n,empirical_mean,stderr,exact,z_score"
         assert len(lines) == 3
 
-    def test_dict_exactness_boundary(self):
-        d = result_to_dict(self._result())
+    def test_dict_exactness_boundary(self, capsys):
+        moment = json.loads(self._output(capsys, "json"))["moments"][0]
         # exact values travel as strings; floats only at the comparison boundary
-        assert isinstance(d["moments"][0]["exact"], str)
-        assert isinstance(d["moments"][0]["empirical_mean"], float)
+        assert isinstance(moment["exact"], str)
+        assert isinstance(moment["empirical_mean"], float)
