@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -265,3 +266,40 @@ class TestSerialization:
         cases = default_hagen_rothe_cases()
         assert (Fraction(1), 2, Fraction(14), 0) in cases
         assert all(a + b * k != 0 for a, b, c, n in cases for k in range(n + 1))
+
+
+# sha256 of repr(list(cases(n))) + describe_range(n) at n = 1 and 9, so any
+# change to an identity's cases, their order or its range string fails here;
+# counterexample minimality depends on this order
+CASES_SHA256 = {
+    "thm1": ("7eefa5f5b0cdebcdc6c7620594f15aad188bd620f2c619fa4d0c499c4bd2ad92", "c4080928e52e202bc01ad9676acc4fc3fe1a9fd7be465d34631a8dab9fad8204"),
+    "thm2": ("7eefa5f5b0cdebcdc6c7620594f15aad188bd620f2c619fa4d0c499c4bd2ad92", "c4080928e52e202bc01ad9676acc4fc3fe1a9fd7be465d34631a8dab9fad8204"),
+    "inversion": ("7eefa5f5b0cdebcdc6c7620594f15aad188bd620f2c619fa4d0c499c4bd2ad92", "c4080928e52e202bc01ad9676acc4fc3fe1a9fd7be465d34631a8dab9fad8204"),
+    "lah": ("7eefa5f5b0cdebcdc6c7620594f15aad188bd620f2c619fa4d0c499c4bd2ad92", "c4080928e52e202bc01ad9676acc4fc3fe1a9fd7be465d34631a8dab9fad8204"),
+    "duality": ("007c56f74cd714813526aa5b8976c1f8113700297d35edcb15dfe1a85887ff6d", "854b26103e9fbe3f8098b478d5a88d010454280de40ff12cdcc8433afa21a12c"),
+    "cross-bb": ("1e640f3320e6849cc91e4cd0853f2a5c167e257fee456e7da948cf30f942f51d", "b5ebf336d80b13e17fbe1f6f9a0068e78f351241777ff91af9fafbfc8aad7c4c"),
+    "gs-scaling": ("9f825e3bf04483185d2383a02f14df5984c51d42f4f3a9fc09771caa4a1862f5", "b897aabb8fe4778e71a135bb5e856d4e530416991ce83caa2b5a9e2190cd87fc"),
+    "gs-special": ("7d990e15213ea259a72822ec6b31bd9dfb95f6689b7132cdf30980c5ed63c0ca", "a2f5bf4b904f5ae6dc07675ab98132bf7133a769f259955c20bd315cc9ee1e77"),
+    "gs-composition": ("f6f3b2ada660af3ab5a58c203b02e84d0a253da9b13022339eb9de42ce9a1a62", "011d1138120bbf8995e244ec05ead3a9cb09ee2764e86614435cd8977341c8c7"),
+    "sss2": ("7656493bb4ffc9dc810716c2694d42ffd9f4b3b2eaa69b9f40c4c6790de10073", "1e5d2ecbc54aa409164174d0a18f3cdf45b605841ea1f9f8a6cdc974e1821df3"),
+    "lemma-keys": ("8343496d289d1dd5fd79f04a6344fd431a739eac82e7786f4d94bf7d6dcf5eb6", "674582f5d018869e2209ffa2d3d1a9d52d29729f1ffe0363e3494e6f19ac7e37"),
+    "hagen-rothe": ("34299f1630379494dcfb26408e21696b2ac76ddb4dd28af303e3b04f011a2bc9", "34299f1630379494dcfb26408e21696b2ac76ddb4dd28af303e3b04f011a2bc9"),
+    "gould-3-120": ("37c72f5369e6e5bee24a2453795466ffb46af4bbe085c4d2f2e4584e1f0fa7f2", "8429e8f23984ed6407ad79e881848dcd19e359c0e0cdacdd16a7084c9de80053"),
+    "moment-bessel": ("223013c7891d9a7a1d8b2ce20c46acb5bbe1cb1986a64c9e22146cf5d6b371b3", "175236e6d117caf1b16392473484a32071f9046af0926b7548a2f1d33cdd295c"),
+    "theta-b": ("223013c7891d9a7a1d8b2ce20c46acb5bbe1cb1986a64c9e22146cf5d6b371b3", "175236e6d117caf1b16392473484a32071f9046af0926b7548a2f1d33cdd295c"),
+    "pn-closed": ("223013c7891d9a7a1d8b2ce20c46acb5bbe1cb1986a64c9e22146cf5d6b371b3", "175236e6d117caf1b16392473484a32071f9046af0926b7548a2f1d33cdd295c"),
+    "pn-special-z": ("0b4b6ca50366341334adbc07cdbf5d7657be6c4efe2a2535b5800c7ea2ca27b6", "4acc19813ca106faffc655055add1607d955730725eea7ee37835f027a198520"),
+    "rising-factorial": ("dfe25171759d52c84b293680d28857693a207ce940bda3944c2bfa822652468d", "42154c91c428aea8ddb789eb22bd4f272c09d5f78d579a6ed5c82e05a370eb5f"),
+    "falling-factorial": ("dfe25171759d52c84b293680d28857693a207ce940bda3944c2bfa822652468d", "42154c91c428aea8ddb789eb22bd4f272c09d5f78d579a6ed5c82e05a370eb5f"),
+    "bessel-b-coeff": ("7eefa5f5b0cdebcdc6c7620594f15aad188bd620f2c619fa4d0c499c4bd2ad92", "c4080928e52e202bc01ad9676acc4fc3fe1a9fd7be465d34631a8dab9fad8204"),
+}
+
+
+@pytest.mark.parametrize("ident_id", IDENTITY_IDS)
+def test_case_order_pinned(ident_id):
+    identity = REGISTRY[ident_id]
+    digests = tuple(
+        hashlib.sha256((repr(list(identity.cases(n))) + identity.describe_range(n)).encode()).hexdigest()
+        for n in (1, 9)
+    )
+    assert digests == CASES_SHA256[ident_id]
