@@ -11,7 +11,7 @@ runs and worker counts.
 
 from __future__ import annotations
 
-import os
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -27,7 +27,7 @@ from .exactnum import (
     rising_factorial_poly,
 )
 from .polys import UniPoly
-from .triangles import Triangles
+from .triangles import Triangles, bessel_B, bessel_b, lah
 
 
 @dataclass(frozen=True)
@@ -60,22 +60,30 @@ class Identity:
 
 
 # ---------------------------------------------------------------------------
-# case iterators
+# shared pieces
 
-def _cases_nk(n_max: int):
-    for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            yield (n, k)
+def _grid(n_from: int, k_from: int | None, *axes: Sequence):
+    """The case iterator over n_from <= n <= n_max, then k_from <= k <= n,
+    then the fixed ``axes`` in order; with k_from None there is no k."""
+
+    def cases(n_max: int):
+        for n in range(n_from, n_max + 1):
+            ks = [()] if k_from is None else [(k,) for k in range(k_from, n + 1)]
+            for k in ks:
+                for a in itertools.product(*axes):
+                    yield (n, *k, *a)
+
+    return cases
 
 
-def _cases_n(n_max: int):
-    for n in range(1, n_max + 1):
-        yield (n,)
+def _s1s2_sum(t: Triangles, n: int, k: int, weight: Callable):
+    """The paper's sum: sum_i s1(n,i) s2(i,k) weight(i)."""
+    return sum(t.stirling1(n, i) * t.stirling2(i, k) * weight(i) for i in range(k, n + 1))
 
 
-def _cases_n_from0(n_max: int):
-    for n in range(0, n_max + 1):
-        yield (n,)
+def _sign(e: int, v):
+    """(-1)^e v."""
+    return -v if e % 2 else v
 
 
 # ---------------------------------------------------------------------------
@@ -83,67 +91,42 @@ def _cases_n_from0(n_max: int):
 
 def _thm1_eval(params, t):
     n, k = params
-    lhs = sum(t.stirling1(n, i) * t.stirling2(i, k) * (-2) ** (n - i) for i in range(k, n + 1))
-    return lhs, t.bessel_b(n, k)
+    return _s1s2_sum(t, n, k, lambda i: (-2) ** (n - i)), bessel_b(n, k)
 
 
 def _thm2_eval(params, t):
     n, k = params
-    lhs = sum(t.stirling1(n, i) * t.stirling2(i, k) * (-2) ** (i - k) for i in range(k, n + 1))
-    rhs = t.bessel_B(n, k)
-    return lhs, -rhs if (n - k) % 2 else rhs
+    return _s1s2_sum(t, n, k, lambda i: (-2) ** (i - k)), _sign(n - k, bessel_B(n, k))
 
 
 def _inversion_eval(params, t):
     n, k = params
-    lhs = sum(t.stirling1(n, i) * t.stirling2(i, k) * (-1) ** (n - i) for i in range(k, n + 1))
-    return lhs, 1 if n == k else 0
+    return _s1s2_sum(t, n, k, lambda i: (-1) ** (n - i)), 1 if n == k else 0
 
 
 def _lah_eval(params, t):
     n, k = params
-    lhs = sum(t.stirling1(n, i) * t.stirling2(i, k) for i in range(k, n + 1))
-    return lhs, t.lah(n, k)
+    return _s1s2_sum(t, n, k, lambda i: 1), lah(n, k)
 
 
 # ---------------------------------------------------------------------------
 # Bessel pair structure
 
-def _duality_cases(n_max: int):
-    for n in range(1, n_max + 1):
-        for m in range(1, n + 1):
-            for order in ("Bb", "bB"):
-                yield (n, m, order)
-
-
 def _duality_eval(params, t):
     n, m, order = params
-    if order == "Bb":
-        lhs = sum(t.bessel_B(n, k) * t.bessel_b(k, m) for k in range(m, n + 1))
-    else:
-        lhs = sum(t.bessel_b(n, k) * t.bessel_B(k, m) for k in range(m, n + 1))
-    return lhs, 1 if m == n else 0
-
-
-def _cross_bb_cases(n_max: int):
-    for n in range(1, n_max + 1):
-        for k in range(0, n + 1):
-            yield (n, k)
+    outer, inner = (bessel_B, bessel_b) if order == "Bb" else (bessel_b, bessel_B)
+    return sum(outer(n, k) * inner(k, m) for k in range(m, n + 1)), 1 if m == n else 0
 
 
 def _cross_bb_eval(params, t):
     n, k = params
-    lhs = t.bessel_B(n, k)
-    if (n - k) % 2:
-        lhs = -lhs
-    return lhs, t.bessel_b(k + 1, 2 * k - n + 1)
+    return _sign(n - k, bessel_B(n, k)), bessel_b(k + 1, 2 * k - n + 1)
 
 
 def _bessel_coeff_eval(params, t):
     n, k = params
-    y = families.bessel_poly(n - 1)
-    c = y.coefficient(n - k)  # coefficient of x^(n-k) in y_{n-1}(-x)
-    return Fraction(t.bessel_b(n, k)), -c if (n - k) % 2 else c
+    c = families.bessel_poly(n - 1).coefficient(n - k)  # coefficient of x^(n-k) in y_{n-1}(-x)
+    return Fraction(bessel_b(n, k)), _sign(n - k, c)
 
 
 # ---------------------------------------------------------------------------
@@ -164,22 +147,13 @@ GS_COMPOSITION_TRIPLES: tuple[tuple[Fraction, Fraction, Fraction], ...] = (
 
 SSS2_Z_VALUES = (Fraction(1), Fraction(-2), Fraction(-1, 2), Fraction(3), Fraction(2, 3))
 
-# sorted so case iteration is lexicographic in (n, k, family)
-_GS_SPECIAL = ("bessel-B", "bessel-b", "stirling1", "stirling2")
-_GS_SPECIAL_PARAMS = {
-    "stirling1": (Fraction(1), Fraction(1)),
-    "stirling2": (Fraction(0), Fraction(1)),
-    "bessel-b": (Fraction(2), Fraction(-1)),
-    "bessel-B": (Fraction(-1), Fraction(1)),
+# family: (s, h, reference); the stirling references read the tables under test
+_GS_SPECIAL = {
+    "bessel-B": (Fraction(-1), Fraction(1), lambda t, n, k: bessel_B(n, k)),
+    "bessel-b": (Fraction(2), Fraction(-1), lambda t, n, k: bessel_b(n, k)),
+    "stirling1": (Fraction(1), Fraction(1), lambda t, n, k: t.stirling1(n, k)),
+    "stirling2": (Fraction(0), Fraction(1), lambda t, n, k: t.stirling2(n, k)),
 }
-
-
-def _gs_scaling_cases(n_max: int):
-    for n in range(0, n_max + 1):
-        for k in range(0, n + 1):
-            for a in GS_SCALING_FACTORS:
-                for s in GS_SCALING_S:
-                    yield (n, k, a, s)
 
 
 def _gs_scaling_eval(params, t):
@@ -187,46 +161,23 @@ def _gs_scaling_eval(params, t):
     return t.gs(s, a, n, k), a ** (n - k) * t.gs(s, 1, n, k)
 
 
-def _gs_special_cases(n_max: int):
-    for n in range(0, n_max + 1):
-        for k in range(0, n + 1):
-            for fam in _GS_SPECIAL:
-                yield (n, k, fam)
-
-
 def _gs_special_eval(params, t):
     n, k, fam = params
-    s, h = _GS_SPECIAL_PARAMS[fam]
-    ref = {
-        "stirling1": t.stirling1,
-        "stirling2": t.stirling2,
-        "bessel-b": t.bessel_b,
-        "bessel-B": t.bessel_B,
-    }[fam](n, k)
-    return t.gs(s, h, n, k), ref
-
-
-def validate_composition_triple(s: Fraction, nu: Fraction, sigma: Fraction) -> None:
-    if nu == 0:
-        raise ValueError("composition triple requires nu != 0")
-    if sigma <= 0:
-        raise ValueError("composition triple requires sigma > 0")
-    if nu == sigma:
-        raise ValueError("composition triple requires nu != sigma (inner parameter)")
+    s, h, reference = _GS_SPECIAL[fam]
+    return t.gs(s, h, n, k), reference(t, n, k)
 
 
 def gs_composition_identity(triples: Sequence[tuple]) -> Identity:
     """The composition law of GS over the given (s, nu, sigma) triples."""
     # triples sorted so the case order is lexicographic in (n, k, triple)
     norm = tuple(sorted((Fraction(s), Fraction(nu), Fraction(sg)) for s, nu, sg in triples))
-    for s, nu, sg in norm:
-        validate_composition_triple(s, nu, sg)
-
-    def cases(n_max: int):
-        for n in range(0, n_max + 1):
-            for k in range(0, n + 1):
-                for triple in norm:
-                    yield (n, k, triple)
+    for s, nu, sigma in norm:
+        if nu == 0:
+            raise ValueError("composition triple requires nu != 0")
+        if sigma <= 0:
+            raise ValueError("composition triple requires sigma > 0")
+        if nu == sigma:
+            raise ValueError("composition triple requires nu != sigma (inner parameter)")
 
     def evaluate(params, t):
         n, k, (s, nu, sigma) = params
@@ -243,7 +194,7 @@ def gs_composition_identity(triples: Sequence[tuple]) -> Identity:
         ident="gs-composition",
         summary="GS_{s/nu;nu}(n,k) = sum_i GS_{s/(nu-sigma);nu-sigma}(n,i) GS_{(s+sigma-nu)/sigma;sigma}(i,k)",
         describe_range=lambda n: f"0<=k<=n<={n}, {len(norm)} (s,nu,sigma) triples",
-        cases=cases,
+        cases=_grid(0, 0, norm),
         evaluate=evaluate,
     )
 
@@ -255,23 +206,15 @@ def sss2_identity(z_values: Sequence) -> Identity:
         if z == 0 or z == -1:
             raise ValueError("z must avoid 0 and -1")
 
-    def cases(n_max: int):
-        for n in range(0, n_max + 1):
-            for k in range(0, n + 1):
-                for z in zs:
-                    yield (n, k, z)
-
     def evaluate(params, t):
         n, k, z = params
-        lhs = sum(t.stirling1(n, i) * t.stirling2(i, k) * z**i for i in range(k, n + 1))
-        rhs = z**n * t.gs(1 / (z + 1), (z + 1) / z, n, k)
-        return lhs, rhs
+        return _s1s2_sum(t, n, k, lambda i: z**i), z**n * t.gs(1 / (z + 1), (z + 1) / z, n, k)
 
     return Identity(
         ident="sss2",
         summary="sum_i s1(n,i) s2(i,k) z^i = z^n GS_{1/(z+1);(z+1)/z}(n,k)",
         describe_range=lambda n: f"0<=k<=n<={n}, z in {{{', '.join(str(z) for z in zs)}}}",
-        cases=cases,
+        cases=_grid(0, 0, zs),
         evaluate=evaluate,
     )
 
@@ -369,53 +312,36 @@ def _pn_closed_eval(params, t):
     return families.pn_recurrence(n), families.pn_closed_form(n, t)
 
 
-# sorted so case iteration is lexicographic in (n, label)
-_SPECIAL_Z_LABELS = ("z=-1", "z=-1/2", "z=-2", "z=-2-chebyshev", "z=0", "z=1")
-
-
-def _pn_special_cases(n_max: int):
-    for n in range(1, n_max + 1):
-        for label in _SPECIAL_Z_LABELS:
-            yield (n, label)
+# label: (z, closed form of P_n(x, z) in n)
+_PN_SLICES = {
+    "z=-1": (Fraction(-1), UniPoly.monomial),
+    "z=-1/2": (Fraction(-1, 2), families.pn_skew_bm),
+    "z=-2": (Fraction(-2), families.pn_z_minus2),
+    "z=-2-chebyshev": (Fraction(-2), families.pn_via_chebyshev),
+    "z=0": (Fraction(0), lambda n: UniPoly.x()),
+    "z=1": (Fraction(1), families.pn_z_one),
+}
 
 
 def _pn_special_eval(params, t):
     n, label = params
-    z = Fraction(-2) if label == "z=-2-chebyshev" else Fraction(label.removeprefix("z="))
-    lhs = families.pn_recurrence(n).substitute_z(z)
-    if label == "z=0":
-        rhs = UniPoly.x()
-    elif label == "z=-1":
-        rhs = UniPoly.monomial(n)
-    elif label == "z=1":
-        rhs = families.pn_z_one(n)
-    elif label == "z=-1/2":
-        rhs = families.pn_skew_bm(n)
-    elif label == "z=-2":
-        rhs = families.pn_z_minus2(n)
-    else:
-        rhs = families.pn_via_chebyshev(n)
-    return lhs, rhs
+    z, closed_form = _PN_SLICES[label]
+    return families.pn_recurrence(n).substitute_z(z), closed_form(n)
 
 
 def _moment_bessel_eval(params, t):
     (n,) = params
     scale = Fraction(1, 2 ** (n - 1) * factorial(n - 1))
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [Fraction(0)]
     for k in range(1, n + 1):
-        c = factorial(k - 1) * t.bessel_b(n, k)
-        coeffs[k] = scale * (-c if (n - k) % 2 else c)
+        coeffs.append(scale * _sign(n - k, factorial(k - 1) * bessel_b(n, k)))
     return families.pn_skew_bm(n), UniPoly(coeffs)
 
 
 def _theta_b_eval(params, t):
     (n,) = params
     lhs = families.reverse_bessel_poly(n - 1).shifted(1)
-    coeffs = [0] * (n + 1)
-    for k in range(1, n + 1):
-        b = t.bessel_b(n, k)
-        coeffs[k] = -b if (n - k) % 2 else b
-    return lhs, UniPoly(coeffs)
+    return lhs, UniPoly([0] + [_sign(n - k, bessel_b(n, k)) for k in range(1, n + 1)])
 
 
 def _rising_eval(params, t):
@@ -438,19 +364,21 @@ def _falling_eval(params, t):
 def _build_registry() -> dict[str, Identity]:
     nk = lambda n: f"1<=k<=n<={n}"
     nk0 = lambda n: f"0<=k<=n<={n}"
+    n1 = lambda n: f"1<=n<={n}"
+    n0 = lambda n: f"0<=n<={n}"
     entries = [
-        Identity("thm1", "sum_i s1(n,i) s2(i,k) (-2)^(n-i) = b(n,k)", nk, _cases_nk, _thm1_eval),
-        Identity("thm2", "sum_i s1(n,i) s2(i,k) (-2)^(i-k) = (-1)^(n-k) B(n,k)", nk, _cases_nk, _thm2_eval),
-        Identity("inversion", "sum_i s1(n,i) s2(i,k) (-1)^(n-i) = [n = k]", nk, _cases_nk, _inversion_eval),
-        Identity("lah", "sum_i s1(n,i) s2(i,k) = L(n,k)", nk, _cases_nk, _lah_eval),
+        Identity("thm1", "sum_i s1(n,i) s2(i,k) (-2)^(n-i) = b(n,k)", nk, _grid(1, 1), _thm1_eval),
+        Identity("thm2", "sum_i s1(n,i) s2(i,k) (-2)^(i-k) = (-1)^(n-k) B(n,k)", nk, _grid(1, 1), _thm2_eval),
+        Identity("inversion", "sum_i s1(n,i) s2(i,k) (-1)^(n-i) = [n = k]", nk, _grid(1, 1), _inversion_eval),
+        Identity("lah", "sum_i s1(n,i) s2(i,k) = L(n,k)", nk, _grid(1, 1), _lah_eval),
         Identity("duality", "sum_k B(n,k) b(k,m) = sum_k b(n,k) B(k,m) = [m = n]",
-                 lambda n: f"1<=m<=n<={n}, both orders", _duality_cases, _duality_eval),
+                 lambda n: f"1<=m<=n<={n}, both orders", _grid(1, 1, ("Bb", "bB")), _duality_eval),
         Identity("cross-bb", "(-1)^(n-k) B(n,k) = b(k+1, 2k-n+1)",
-                 lambda n: f"1<=n<={n}, 0<=k<=n", _cross_bb_cases, _cross_bb_eval),
-        Identity("gs-scaling", "GS_{s;a}(n,k) = a^(n-k) GS_{s;1}(n,k)",
-                 lambda n: f"0<=k<=n<={n}, a/s grids", _gs_scaling_cases, _gs_scaling_eval),
+                 lambda n: f"1<=n<={n}, 0<=k<=n", _grid(1, 0), _cross_bb_eval),
+        Identity("gs-scaling", "GS_{s;a}(n,k) = a^(n-k) GS_{s;1}(n,k)", lambda n: f"0<=k<=n<={n}, a/s grids",
+                 _grid(0, 0, GS_SCALING_FACTORS, GS_SCALING_S), _gs_scaling_eval),
         Identity("gs-special", "GS specializations: s1, s2, b, B",
-                 nk0, _gs_special_cases, _gs_special_eval),
+                 nk0, _grid(0, 0, sorted(_GS_SPECIAL)), _gs_special_eval),
         gs_composition_identity(GS_COMPOSITION_TRIPLES),
         sss2_identity(SSS2_Z_VALUES),
         Identity("lemma-keys", "Stirling convolution keys (two parts)",
@@ -460,19 +388,20 @@ def _build_registry() -> dict[str, Identity]:
         Identity("gould-3-120", "sum_m C(n,2m) C(m,k) = 2^(n-2k-1) C(n-k,k) n/(n-k)",
                  lambda n: f"1<=n<={n}, 0<=k<=floor(n/2)", _gould_cases, _gould_eval),
         Identity("moment-bessel", "P_n(x,-1/2) as a signed Bessel-number sum",
-                 lambda n: f"1<=n<={n}", _cases_n, _moment_bessel_eval),
+                 n1, _grid(1, None), _moment_bessel_eval),
         Identity("theta-b", "x theta_{n-1}(x) = sum_k (-1)^(n-k) x^k b(n,k)",
-                 lambda n: f"1<=n<={n}", _cases_n, _theta_b_eval),
+                 n1, _grid(1, None), _theta_b_eval),
         Identity("pn-closed", "recurrence and closed form of P_n(x,z) agree",
-                 lambda n: f"1<=n<={n}", _cases_n, _pn_closed_eval),
+                 n1, _grid(1, None), _pn_closed_eval),
         Identity("pn-special-z", "P_n slices at z in {0,-1,1,-1/2,-2} match closed forms",
-                 lambda n: f"1<=n<={n}, 6 slice checks", _pn_special_cases, _pn_special_eval),
+                 lambda n: f"1<=n<={n}, 6 slice checks",
+                 _grid(1, None, sorted(_PN_SLICES)), _pn_special_eval),
         Identity("rising-factorial", "coefficients of x(x+1)...(x+n-1) are s1(n,k)",
-                 lambda n: f"0<=n<={n}", _cases_n_from0, _rising_eval),
+                 n0, _grid(0, None), _rising_eval),
         Identity("falling-factorial", "x^n = sum_k s2(n,k) x(x-1)...(x-k+1)",
-                 lambda n: f"0<=n<={n}", _cases_n_from0, _falling_eval),
+                 n0, _grid(0, None), _falling_eval),
         Identity("bessel-b-coeff", "b(n,k) is the x^(n-k) coefficient of y_{n-1}(-x)",
-                 nk, _cases_nk, _bessel_coeff_eval),
+                 nk, _grid(1, 1), _bessel_coeff_eval),
     ]
     return {e.ident: e for e in entries}
 
@@ -534,7 +463,7 @@ def run_suite(
     n_max: int,
     selection="all",
     tables: Triangles | None = None,
-    jobs: int | None = 1,
+    jobs: int = 1,
 ) -> list[IdentityReport]:
     """``verify`` each selected identity; reports come back in registry order.
 
@@ -543,8 +472,6 @@ def run_suite(
     are injected); results are independent of the worker count.
     """
     ids = _resolve_selection(selection)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
     if jobs > 1 and tables is None and len(ids) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
             futures = {ident: pool.submit(verify, ident, n_max) for ident in ids}

@@ -11,9 +11,10 @@ with delta initial conditions T(n, 0) = [n == 0], T(0, k) = [k == 0], and
     c(n, k) = h*(k + s*(n - k))    generalized Stirling with parameters (s, h)
 
 Bessel numbers of the first kind b(n, k) and second kind B(n, k), and the
-Lah numbers L(n, k), are computed from their factorial closed forms; their
-agreement with the matching generalized-Stirling specializations is checked
-by the identity suite rather than shared as one code path.
+Lah numbers L(n, k), are module functions computing their factorial closed
+forms; their agreement with the matching generalized-Stirling
+specializations is checked by the identity suite rather than shared as one
+code path.  ``Triangles`` holds only the memoized recurrence tables.
 
 Entries outside 0 <= k <= n are implicitly 0, with the (0, 0) = 1
 convention, so summation identities can run with free index ranges.
@@ -113,7 +114,8 @@ def lah(n: int, k: int) -> int:
 
 
 class Triangles:
-    """Shared access point for all memoized triangles.
+    """The memoized recurrence tables: Stirling numbers of both kinds and
+    generalized Stirling numbers.
 
     Generalized-Stirling tables are keyed by the exact rational pair
     (s, h); no cache sharing between parameter pairs that agree only up
@@ -154,21 +156,11 @@ class Triangles:
         v = table.value(n, k)
         return v if isinstance(v, Fraction) else Fraction(v)
 
-    # Closed-form families, exposed here so identity verifiers can consume
-    # every triangle through one object.
-    def bessel_b(self, n: int, k: int) -> int:
-        return bessel_b(n, k)
-
-    def bessel_B(self, n: int, k: int) -> int:
-        return bessel_B(n, k)
-
-    def lah(self, n: int, k: int) -> int:
-        return lah(n, k)
-
 
 DEFAULT = Triangles()
 
 
+# These read DEFAULT at call time, so replacing it swaps the tables they use.
 def stirling1(n: int, k: int) -> int:
     return DEFAULT.stirling1(n, k)
 
