@@ -242,7 +242,8 @@ def default_hagen_rothe_cases() -> tuple[tuple, ...]:
 
 def hagen_rothe_identity(cases: Sequence[tuple]) -> Identity:
     """The Hagen-Rothe convolution on the given (a, b, c, n) cases; ignores n_max."""
-    norm = tuple((Fraction(a), int(b), Fraction(c), int(n)) for a, b, c, n in cases)
+    # sorted so the case order is lexicographic in (a, b, c, n); duplicates stay
+    norm = tuple(sorted((Fraction(a), int(b), Fraction(c), int(n)) for a, b, c, n in cases))
     for a, b, c, n in norm:
         if n < 0:
             raise ValueError("n must be nonnegative")

@@ -283,7 +283,7 @@ CASES_SHA256 = {
     "gs-composition": ("f6f3b2ada660af3ab5a58c203b02e84d0a253da9b13022339eb9de42ce9a1a62", "011d1138120bbf8995e244ec05ead3a9cb09ee2764e86614435cd8977341c8c7"),
     "sss2": ("7656493bb4ffc9dc810716c2694d42ffd9f4b3b2eaa69b9f40c4c6790de10073", "1e5d2ecbc54aa409164174d0a18f3cdf45b605841ea1f9f8a6cdc974e1821df3"),
     "lemma-keys": ("8343496d289d1dd5fd79f04a6344fd431a739eac82e7786f4d94bf7d6dcf5eb6", "674582f5d018869e2209ffa2d3d1a9d52d29729f1ffe0363e3494e6f19ac7e37"),
-    "hagen-rothe": ("34299f1630379494dcfb26408e21696b2ac76ddb4dd28af303e3b04f011a2bc9", "34299f1630379494dcfb26408e21696b2ac76ddb4dd28af303e3b04f011a2bc9"),
+    "hagen-rothe": ("eb16d2edd15daf6633376958499e3fbe31f66a99505920e41fe297a11382d420", "eb16d2edd15daf6633376958499e3fbe31f66a99505920e41fe297a11382d420"),
     "gould-3-120": ("37c72f5369e6e5bee24a2453795466ffb46af4bbe085c4d2f2e4584e1f0fa7f2", "8429e8f23984ed6407ad79e881848dcd19e359c0e0cdacdd16a7084c9de80053"),
     "moment-bessel": ("223013c7891d9a7a1d8b2ce20c46acb5bbe1cb1986a64c9e22146cf5d6b371b3", "175236e6d117caf1b16392473484a32071f9046af0926b7548a2f1d33cdd295c"),
     "theta-b": ("223013c7891d9a7a1d8b2ce20c46acb5bbe1cb1986a64c9e22146cf5d6b371b3", "175236e6d117caf1b16392473484a32071f9046af0926b7548a2f1d33cdd295c"),
@@ -303,3 +303,9 @@ def test_case_order_pinned(ident_id):
         for n in (1, 9)
     )
     assert digests == CASES_SHA256[ident_id]
+
+
+@pytest.mark.parametrize("ident_id", IDENTITY_IDS)
+def test_cases_are_in_lexicographic_order(ident_id):
+    cases = list(REGISTRY[ident_id].cases(8))
+    assert cases == sorted(cases)
