@@ -112,13 +112,25 @@ def _default_jobs(jobs: int | None) -> int:
 class _Output(NamedTuple):
     """A command's exit code and its output in each format. Lines and rows
     are lazy iterables and the payload a callable, so only the format that is
-    printed gets built."""
+    printed gets built. ``exact`` holds every computed int or Fraction that
+    any format prints, so their length can be checked before printing."""
 
     code: int
     lines: Iterable[str]  # table
     payload: Callable[[], object]  # json
     header: Sequence[str]  # csv
     rows: Iterable[Sequence]  # csv
+    exact: Iterable = ()
+
+
+def _too_long_to_print(values: Iterable) -> bool:
+    """Whether an int or Fraction has more digits than Python converts to
+    text: abs(v) >= 10**limit, where a limit of 0 means no limit."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return False
+    bound = 10**limit
+    return any(abs(v.numerator) >= bound or v.denominator >= bound for v in values)
 
 
 def _emit(fmt: str, out: _Output) -> None:
@@ -185,6 +197,7 @@ def _cmd_triangle(args) -> int | _Output:
         payload=payload,
         header=("n", "k", "value"),
         rows=((n, k, v) for n, row in enumerate(rows) for k, v in enumerate(row)),
+        exact=(v for row in rows for v in row),
     )
 
 
@@ -204,6 +217,7 @@ def _unipoly_output(args, poly, z) -> _Output:
         },
         header=("power", "coefficient"),
         rows=((power, str(c)) for power, c in enumerate(poly.coeffs)),
+        exact=poly.coeffs,
     )
 
 
@@ -220,6 +234,7 @@ def _bipoly_output(args, poly) -> _Output:
         },
         header=("x_power", "z_power", "coefficient"),
         rows=((i, j, str(c)) for (i, j), c in items),
+        exact=(c for _, c in items),
     )
 
 
@@ -389,6 +404,7 @@ def _cmd_simulate(args) -> int | _Output:
         ),
         header=(["time_fraction"] if with_t else []) + ["n", "empirical_mean", "stderr", "exact", "z_score"],
         rows=(([str(r.time_fraction)] if with_t else []) + _moment_row(m) for r in results for m in r.moments),
+        exact=(m.exact_value for r in results for m in r.moments),
     )
 
 
@@ -409,10 +425,12 @@ def main(argv=None) -> int:
     out = _DISPATCH[args.command](args)
     if isinstance(out, int):  # a usage error, already reported
         return out
-    try:
-        _emit(args.format, out)
-    except ValueError as exc:  # an int longer than sys.get_int_max_str_digits()
-        return _usage_error(str(exc))
+    if _too_long_to_print(out.exact):
+        return _usage_error(
+            f"a value has more than {sys.get_int_max_str_digits()} digits, the most Python prints; "
+            "raise the limit with the PYTHONINTMAXSTRDIGITS environment variable"
+        )
+    _emit(args.format, out)
     return out.code
 
 

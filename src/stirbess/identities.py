@@ -376,7 +376,8 @@ def _build_registry() -> dict[str, Identity]:
                  lambda n: f"1<=m<=n<={n}, both orders", _grid(1, 1, ("Bb", "bB")), _duality_eval),
         Identity("cross-bb", "(-1)^(n-k) B(n,k) = b(k+1, 2k-n+1)",
                  lambda n: f"1<=n<={n}, 0<=k<=n", _grid(1, 0), _cross_bb_eval),
-        Identity("gs-scaling", "GS_{s;a}(n,k) = a^(n-k) GS_{s;1}(n,k)", lambda n: f"0<=k<=n<={n}, a/s grids",
+        Identity("gs-scaling", "GS_{s;a}(n,k) = a^(n-k) GS_{s;1}(n,k)",
+                 lambda n: f"0<=k<=n<={n}, a/s grids",
                  _grid(0, 0, GS_SCALING_FACTORS, GS_SCALING_S), _gs_scaling_eval),
         Identity("gs-special", "GS specializations: s1, s2, b, B",
                  nk0, _grid(0, 0, sorted(_GS_SPECIAL)), _gs_special_eval),

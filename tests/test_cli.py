@@ -214,26 +214,45 @@ class TestSimulate:
 
 
 class TestValuesTooLargeToPrint:
-    """Python refuses str() on an int longer than sys.get_int_max_str_digits()."""
+    """Python refuses str() on an int longer than sys.get_int_max_str_digits();
+    such output exits 2 before a byte of it is written."""
+
+    @staticmethod
+    def run_at_lowest_limit(capsys, *args):
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            return run_cli(capsys, *args)
+        finally:
+            sys.set_int_max_str_digits(old_limit)
+
+    @staticmethod
+    def assert_refused(code, out, err):
+        assert code == 2 and out == ""
+        assert err.startswith("stirbess: error: ") and "Traceback" not in err
+        assert "PYTHONINTMAXSTRDIGITS" in err
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     def test_triangle(self, capsys, fmt):
         args = ("triangle", "gs", "--s", "0", "--h", "1" + "0" * 200, "--n", "25", "--format", fmt)
-        code, _, err = run_cli(capsys, *args)
-        assert code == 2
-        assert err.startswith("stirbess: error: ") and "Traceback" not in err
+        self.assert_refused(*run_cli(capsys, *args))
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     def test_poly(self, capsys, fmt):
         # --n 1500 passes the default limit; at the lowest limit --n 300 does, much sooner
-        old_limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)
-        try:
-            code, _, err = run_cli(capsys, "poly", "bessel-y", "--n", "300", "--format", fmt)
-        finally:
-            sys.set_int_max_str_digits(old_limit)
-        assert code == 2
-        assert err.startswith("stirbess: error: ") and "Traceback" not in err
+        self.assert_refused(*self.run_at_lowest_limit(capsys, "poly", "bessel-y", "--n", "300", "--format", fmt))
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_simulate(self, capsys, fmt):
+        # the exact moment of order 60 at alpha = 0.3 has more than 640 digits
+        args = ("simulate", "--alpha", "0.3", "--steps", "10", "--paths", "10", "--moments", "60",
+                "--jobs", "1", "--format", fmt)
+        self.assert_refused(*self.run_at_lowest_limit(capsys, *args))
+
+    def test_limit_zero_means_no_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        code, out, _ = run_cli(capsys, "triangle", "stirling2", "--n", "3", "--format", "csv")
+        assert code == 0 and out.splitlines()[-1] == "3,3,1"
 
 
 class TestParserBasics:
