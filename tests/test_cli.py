@@ -279,6 +279,7 @@ GOLDEN_SHA256 = {
     "poly pn --n 4 --format table": "91b6841e2610acc2716842f8b8ffa6f5b6fda8ff9937b5186036977be0bf7c5b",
     "poly pn --n 4 --format json": "29c0ca1559d36a0b4d8cf3b51948a37d834d04c81c03ab3cd962bd2abc461b4e",
     "poly pn --n 4 --format csv": "8c1d6f740ee9433a55f5dea9d835cda52dd2e4913c4bf06ec098f66c474189fe",
+    "poly pn --n 30 --format csv": "380f8b4e3406952da83f8d1c2af1427a8aa1fdbe03cf8a7659d60096b126d61a",
     "poly pn --n 4 --z -1/2 --format table": "617a9201461561c1949859f5caecd923148e64a1f443874aff322c16fe374a28",
     "poly pn --n 4 --z -1/2 --format json": "7a1e94f7eb03d21d042931538981e440cb28ac9036bc2ed589daaccc3c5a7002",
     "poly pn --n 4 --z -1/2 --format csv": "19093d60a560505508dd6cd74317f6677919bca395fcaf70e40c1e16bdcacc5b",

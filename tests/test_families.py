@@ -60,6 +60,11 @@ class TestPnRecurrence:
     def test_evaluation_matches_numeric_recurrence(self, n, x, z):
         assert pn_recurrence(n)(x, z) == pn_value_by_numeric_recurrence(n, x, z)
 
+    @pytest.mark.parametrize("n", [20, 40])
+    @pytest.mark.parametrize("x, z", [(Fraction(2, 7), Fraction(-3, 5)), (Fraction(-5, 3), Fraction(9, 4))])
+    def test_large_n_matches_numeric_recurrence(self, n, x, z):
+        assert pn_recurrence(n)(x, z) == pn_value_by_numeric_recurrence(n, x, z)
+
 
 class TestPnClosedForm:
     def test_base_case(self):
