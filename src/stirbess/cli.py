@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -133,6 +134,13 @@ def _too_long_to_print(values: Iterable) -> bool:
     return any(abs(v.numerator) >= bound or v.denominator >= bound for v in values)
 
 
+def _too_long_error() -> int:
+    return _usage_error(
+        f"a value has more than {sys.get_int_max_str_digits()} digits, the most Python prints; "
+        "raise the limit with the PYTHONINTMAXSTRDIGITS environment variable"
+    )
+
+
 def _emit(fmt: str, out: _Output) -> None:
     """Write command output to stdout; nothing else in the CLI does."""
     stdout = sys.stdout  # read per call: callers may redirect it
@@ -250,6 +258,12 @@ def _cmd_poly(args) -> int | _Output:
         return _usage_error("--z applies only to pn variants")
     if args.n < 0:
         return _usage_error("--n must be nonnegative")
+    if args.which in ("bessel-y", "bessel-theta"):
+        # the largest coefficient of y_n and of theta_n is (2n)!/(2^n n!), so
+        # checking it alone refuses an unprintable --n before any work
+        largest = math.factorial(2 * args.n) // (math.factorial(args.n) << args.n)
+        if _too_long_to_print([largest]):
+            return _too_long_error()
     poly = {
         "bessel-y": families.bessel_poly,
         "bessel-theta": families.reverse_bessel_poly,
@@ -426,10 +440,7 @@ def main(argv=None) -> int:
     if isinstance(out, int):  # a usage error, already reported
         return out
     if _too_long_to_print(out.exact):
-        return _usage_error(
-            f"a value has more than {sys.get_int_max_str_digits()} digits, the most Python prints; "
-            "raise the limit with the PYTHONINTMAXSTRDIGITS environment variable"
-        )
+        return _too_long_error()
     _emit(args.format, out)
     return out.code
 

@@ -16,32 +16,71 @@ polynomial at z = -2.
 
 from __future__ import annotations
 
+import functools
 import threading
 from fractions import Fraction
 
 from . import triangles
-from .exactnum import binomial_int, binomial_poly_upper, factorial
+from .exactnum import binomial_int, factorial
 from .polys import BiPoly, UniPoly
 from .triangles import Triangles
 
 _pn_cache: list[BiPoly] = [BiPoly(), BiPoly.x()]  # index n -> P_n; slot 0 unused
+_qn_cache: list[list[list[int]]] = [[], [[], [1]]]  # index n -> Q_n = (n-1)! P_n; see pn_recurrence
 _pn_lock = threading.Lock()
 
 
 def pn_recurrence(n: int) -> BiPoly:
-    """P_n(x, z) built from the defining recurrence; prefix-cached."""
+    """P_n(x, z) built from the defining recurrence; prefix-cached.
+
+    The recurrence runs in integer arithmetic on Q_n = (n-1)! P_n.  With
+    R_{c,k}(z) = k! C(c+z, k) = (c+z) (c-1+z) ... (c-k+1+z), multiplying the
+    recurrence for P_{n+1} by n! gives
+
+        Q_1 = x,
+        Q_{n+1} = x * [R_{n,n}(z) - sum_{m=1..n} C(n, m-1) R_{n-m,n-m+1}(z) Q_m],
+
+    in which every coefficient is an integer.  Each Q_m is cached as dense
+    rows, the list of z coefficients for each power of x.  The only division
+    is the exact one by (n-1)! that turns Q_n into the cached ``BiPoly`` P_n.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if n >= len(_pn_cache):
         with _pn_lock:
+            while len(_qn_cache) <= n:
+                _qn_cache.append(_next_q(len(_qn_cache) - 1))
             while len(_pn_cache) <= n:
-                m_top = len(_pn_cache) - 1  # have P_1..P_{m_top}, build P_{m_top+1}
-                acc = BiPoly.from_z_poly(binomial_poly_upper(m_top, m_top))
-                for m in range(1, m_top + 1):
-                    binom = binomial_poly_upper(m_top - m, m_top - m + 1)
-                    acc = acc - BiPoly.from_z_poly(binom) * _pn_cache[m]
-                _pn_cache.append(BiPoly.x() * acc)
+                m = len(_pn_cache)
+                denom = factorial(m - 1)
+                _pn_cache.append(BiPoly({
+                    (i, j): Fraction(c, denom)
+                    for i, row in enumerate(_qn_cache[m]) for j, c in enumerate(row) if c
+                }))
     return _pn_cache[n]
+
+
+def _times_z_plus(c: int, p: list[int]) -> list[int]:
+    """(z + c) * p for p given by its coefficients in z."""
+    return [c * a + b for a, b in zip(p + [0], [0] + p)]
+
+
+def _next_q(n: int) -> list[list[int]]:
+    """Q_{n+1} from the cached Q_1..Q_n; the caller holds ``_pn_lock``.
+
+    R_{n-m,n-m+1}(z) = z (z+1) ... (z+n-m), so the sum is z * G_n in Horner
+    form: G_1 = Q_1 and G_m = C(n, m-1) Q_m + (z+n-m+1) G_{m-1}.  That costs
+    one linear factor per term instead of a full product by R.
+    """
+    r = [1]
+    for c in range(1, n + 1):
+        r = _times_z_plus(c, r)  # R_{n,n} = (z+1) ... (z+n)
+    g: list[list[int]] = []  # G_m, rows for x^1..x^m
+    for m in range(1, n + 1):
+        binom = binomial_int(n, m - 1)
+        g = [_times_z_plus(n - m + 1, row) for row in g] + [[0] * m]
+        g = [[a + binom * v for a, v in zip(row, q_row)] for row, q_row in zip(g, _qn_cache[m][1:])]
+    return [[], r] + [[0] + [-v for v in row] for row in g]  # x * (R_{n,n} - z G_n)
 
 
 def pn_closed_form(n: int, tables: Triangles | None = None) -> BiPoly:
@@ -110,8 +149,13 @@ def pn_z_one(n: int) -> UniPoly:
     return UniPoly(coeffs)
 
 
+@functools.lru_cache(maxsize=None)
 def bessel_poly(n: int) -> UniPoly:
-    """Bessel polynomial y_n: y_0 = 1, y_1 = x+1, y_n = (2n-1)x y_{n-1} + y_{n-2}."""
+    """Bessel polynomial y_n: y_0 = 1, y_1 = x+1, y_n = (2n-1)x y_{n-1} + y_{n-2}.
+
+    Memoized: ``UniPoly`` is immutable, and ``bessel-b-coeff`` asks for
+    y_{n-1} once per (n, k).
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     prev = UniPoly((1,))

@@ -180,7 +180,7 @@ class BiPoly:
                 raise ValueError("monomial exponents must be nonnegative")
             c = _frac(c)
             if c != 0:
-                acc = d.get((i, j), Fraction(0)) + c
+                acc = d[(i, j)] + c if (i, j) in d else c
                 if acc:
                     d[(i, j)] = acc
                 else:

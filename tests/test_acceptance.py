@@ -27,10 +27,10 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
 
 def test_c1_recurrence_equals_closed_form():
     start = time.perf_counter()
-    ok = all(pn_recurrence(n) == pn_closed_form(n) for n in range(1, 26))
+    ok = all(pn_recurrence(n) == pn_closed_form(n) for n in range(1, 61))
     elapsed = time.perf_counter() - start
     _report(
-        "criterion 1: P_n recurrence = closed form, n <= 25 (exact)",
+        "criterion 1: P_n recurrence = closed form, n <= 60 (exact)",
         ok and elapsed < 30.0,
         f"{elapsed:.1f}s",
     )

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from stirbess import identities
+from stirbess import families, identities
 from stirbess.cli import main
 from stirbess.identities import Identity
 
@@ -241,6 +241,26 @@ class TestValuesTooLargeToPrint:
     def test_poly(self, capsys, fmt):
         # --n 1500 passes the default limit; at the lowest limit --n 300 does, much sooner
         self.assert_refused(*self.run_at_lowest_limit(capsys, "poly", "bessel-y", "--n", "300", "--format", fmt))
+
+    @pytest.mark.parametrize("which", ["bessel-y", "bessel-theta"])
+    def test_bessel_refused_before_it_is_built(self, capsys, monkeypatch, which):
+        def not_built(n):
+            raise AssertionError(f"built degree {n} only to refuse it")
+
+        monkeypatch.setattr(families, "bessel_poly", not_built)
+        monkeypatch.setattr(families, "reverse_bessel_poly", not_built)
+        # the largest coefficient, (2n)!/(2^n n!), has 643 digits at n = 278
+        self.assert_refused(*self.run_at_lowest_limit(capsys, "poly", which, "--n", "278"))
+        # and 4391 digits at n = 1450, past the default limit of 4300
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        self.assert_refused(*run_cli(capsys, "poly", which, "--n", "1450"))
+
+    @pytest.mark.parametrize("which", ["bessel-y", "bessel-theta"])
+    def test_bessel_largest_printable_n(self, capsys, which):
+        # 640 digits at n = 277: the early check lets it through and every coefficient prints
+        code, out, err = self.run_at_lowest_limit(capsys, "poly", which, "--n", "277", "--format", "csv")
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 1 + 278
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     def test_simulate(self, capsys, fmt):
