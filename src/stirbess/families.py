@@ -149,7 +149,7 @@ def pn_z_one(n: int) -> UniPoly:
     return UniPoly(coeffs)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def bessel_poly(n: int) -> UniPoly:
     """Bessel polynomial y_n: y_0 = 1, y_1 = x+1, y_n = (2n-1)x y_{n-1} + y_{n-2}.
 
