@@ -1,4 +1,6 @@
 import json
+import math
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from stirbess.cli import main
 from stirbess.occupation import (
     SimConfig,
+    _walk_counts,
     estimate_moments,
     path_occupation_counts,
     simulate_skew_walk,
@@ -56,6 +59,99 @@ class TestSinglePath:
             simulate_skew_walk(1.2, 10, _rng())
         with pytest.raises(ValueError):
             simulate_skew_walk(0.5, 0, _rng())
+
+
+def _exact_count_pmf(alpha: float, steps: int) -> list[Fraction]:
+    """Exact law of the occupation count after ``steps`` intervals, by DP
+    over (position, count).
+
+    Weights are integers over the common denominator den**steps, where
+    Fraction(alpha) = num/den is the float's exact value, the one the
+    kernel compares against.
+    """
+    a = Fraction(alpha)
+    num, den = a.numerator, a.denominator  # den is a power of two, so even
+    law = {(0, 0): 1}
+    for _ in range(steps):
+        nxt = defaultdict(int)
+        for (pos, k), w in law.items():
+            up = num if pos == 0 else den // 2
+            for new, q in ((pos + 1, up), (pos - 1, den - up)):
+                nxt[new, k + (pos + new > 0)] += w * q
+        law = nxt
+    pmf = [0] * (steps + 1)
+    for (_, k), w in law.items():
+        pmf[k] += w
+    return [Fraction(w, den**steps) for w in pmf]
+
+
+def _wilson_hilferty_z(observed, expected) -> float:
+    """Chi-square goodness of fit, as a standard normal deviate.
+
+    Consecutive values are pooled until each bin expects at least 5 paths.
+    """
+    bins, o_acc, e_acc = [], 0, 0.0
+    for o, e in zip(observed, expected):
+        o_acc, e_acc = o_acc + o, e_acc + e
+        if e_acc >= 5.0:
+            bins.append((o_acc, e_acc))
+            o_acc, e_acc = 0, 0.0
+    if e_acc > 0:
+        o_last, e_last = bins.pop()
+        bins.append((o_last + o_acc, e_last + e_acc))
+    chi2 = sum((o - e) ** 2 / e for o, e in bins)
+    df = len(bins) - 1
+    c = 2.0 / (9.0 * df)
+    return ((chi2 / df) ** (1.0 / 3.0) - (1.0 - c)) / math.sqrt(c)
+
+
+class TestExactOracle:
+    """The simulated counts follow the exact finite-N law of the lattice walk."""
+
+    def test_pmf_sums_to_one_and_matches_mean(self):
+        pmf = _exact_count_pmf(0.3, 12)
+        assert sum(pmf) == 1
+        # two-endpoint rule: E[K_N] = alpha * N exactly
+        assert sum(k * p for k, p in enumerate(pmf)) == Fraction(0.3) * 12
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.8])
+    @pytest.mark.parametrize("steps", [20, 21, 60])
+    def test_histogram_matches_exact_law(self, alpha, steps):
+        paths = 20_000
+        config = SimConfig(alpha=alpha, steps=steps, paths=paths, max_moment=1, seed=101 + steps)
+        counts = path_occupation_counts(config)
+        pmf = _exact_count_pmf(alpha, steps)
+        seen = np.bincount(counts, minlength=steps + 1)
+        assert seen.size == steps + 1
+        # no path lands on a count the walk cannot produce (odd counts at even N)
+        assert all(pmf[k] > 0 for k in np.flatnonzero(seen))
+        support = [k for k, p in enumerate(pmf) if p > 0]
+        z = _wilson_hilferty_z([int(seen[k]) for k in support], [paths * float(pmf[k]) for k in support])
+        assert abs(z) < 4.0
+
+
+class _ConstantRng:
+    """Stands in for a Generator whose every uniform is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        if out is None:
+            return np.full(size, self.value, dtype=dtype)
+        out.fill(self.value)
+        return out
+
+
+class TestExtremeUniforms:
+    @pytest.mark.parametrize("value", [0.0, np.nextafter(1.0, 0.0)])
+    def test_counts_stay_in_range(self, value):
+        intervals = 37
+        counts = _walk_counts(0.5, intervals, 5, _ConstantRng(value))
+        assert counts.shape == (5,)
+        assert all(0 <= c <= intervals for c in counts.tolist())
+        # the smallest uniforms send every path up, the largest down
+        assert counts.tolist() == [intervals if value == 0.0 else 0] * 5
 
 
 class TestEstimateMoments:
