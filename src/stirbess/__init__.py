@@ -26,12 +26,7 @@ from .families import (
     reverse_bessel_poly,
 )
 from .identities import IdentityReport, run_suite, verify
-from .occupation import (
-    SimConfig,
-    SimResult,
-    estimate_moments,
-    simulate_skew_walk,
-)
+from .occupation import SimConfig, SimResult, estimate_moments
 from .polys import BiPoly, UniPoly
 from .triangles import (
     Triangles,
@@ -74,7 +69,6 @@ __all__ = [
     "reverse_bessel_poly",
     "rising_factorial_poly",
     "run_suite",
-    "simulate_skew_walk",
     "stirling1",
     "stirling1_signed",
     "stirling2",

@@ -19,13 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import families, triangles
-from .exactnum import (
-    binomial_int,
-    binomial_rat,
-    factorial,
-    falling_factorial_poly,
-    rising_factorial_poly,
-)
+from .exactnum import binomial_int, binomial_rat, factorial, rising_factorial_poly
 from .polys import UniPoly
 from .triangles import Triangles, bessel_B, bessel_b, lah
 
@@ -354,8 +348,10 @@ def _rising_eval(params, t):
 def _falling_eval(params, t):
     (n,) = params
     acc = UniPoly()
+    falling = UniPoly((1,))  # x(x-1)...(x-k+1)
     for k in range(n + 1):
-        acc = acc + t.stirling2(n, k) * falling_factorial_poly(k)
+        acc = acc + t.stirling2(n, k) * falling
+        falling = falling * UniPoly((-k, 1))
     return acc, UniPoly.monomial(n)
 
 

@@ -19,6 +19,19 @@ endpoints alone would inflate the mean by roughly
 systematic offset at the sample sizes used by the statistical checks.
 Residual bias for higher moments is O(1/steps).
 
+Excursion sampling: the walk is never simulated step by step.  It is a
+sequence of independent excursions from 0.  Away from 0 it is symmetric,
+so an excursion lasts 2T steps with P(T > k) = C(2k, k) / 4^k whatever its
+sign, which is the Sibuya(1/2) law: a geometric whose success probability
+W is Beta(1/2, 1/2).  The first step alone decides the sign, positive with
+probability alpha.  The occupation count is therefore the total length of
+the positive excursions, the last one cut at ``steps``; this is the step
+walk's count exactly, not an approximation of it.  Each round draws one
+excursion for every path that has not yet walked all its intervals, so a
+walk of N steps takes about sqrt(N) rounds.  Only uniforms are drawn
+(W = sin^2(pi u / 2), T by inversion), so no numpy sampling algorithm
+enters the output; the draw order is round-major, not step-major.
+
 Determinism: paths are partitioned into fixed blocks of ``BATCH_PATHS``;
 block b draws from a counter-based Philox stream keyed by (seed, b), and
 moment accumulation is exact integer arithmetic on the per-path lattice
@@ -92,47 +105,32 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 def _walk_counts(alpha: float, intervals: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Occupation counts over the first ``intervals`` unit intervals for
-    ``size`` paths driven by one stream (draw order: step-major, then path).
+    ``size`` paths driven by one stream, one excursion per path per round.
+
+    Each round draws three uniforms per unfinished path (round-major, then
+    uniform kind, then path): u gives W = sin^2(pi u / 2) ~ Beta(1/2, 1/2),
+    v the geometric half-length T = ceil(log(1 - v) / log(1 - W)) >= 1,
+    and the sign draw is positive iff it is below alpha.
     """
-    pos = np.zeros(size, dtype=np.int32)
-    occ = np.zeros(size, dtype=np.int32)
-    u = np.empty(size, dtype=np.float64)
-    thr = np.empty(size, dtype=np.float64)
-    at0 = np.empty(size, dtype=bool)
-    up = np.empty(size, dtype=bool)
-    step = np.empty(size, dtype=np.int32)
-    both = np.empty(size, dtype=np.int32)
-    for _ in range(intervals):
-        rng.random(out=u)
-        np.equal(pos, 0, out=at0)
-        np.multiply(at0, alpha - 0.5, out=thr, casting="unsafe")
-        thr += 0.5
-        np.less(u, thr, out=up)
-        np.multiply(up, 2, out=step, casting="unsafe")
-        step -= 1
-        np.add(pos, step, out=step)  # step now holds the new position
-        np.add(pos, step, out=both)  # old + new; > 0 iff both endpoints >= 0
-        np.copyto(pos, step)
-        np.greater(both, 0, out=up)
-        np.add(occ, up, out=occ, casting="unsafe")
+    occ = np.zeros(size, dtype=np.int64)
+    idx = np.arange(size)
+    left = np.full(size, float(intervals))
+    while idx.size:
+        u, v, sign = rng.random((3, idx.size))
+        with np.errstate(divide="ignore", invalid="ignore"):  # W = 1 is log 0; u = v = 0 is 0/0
+            half = np.log1p(-v) / np.log1p(-np.sin(0.5 * np.pi * u) ** 2)
+        # Sibuya(1/2) has infinite mean, so clip while still a float; fmin
+        # also sends the NaN of u = v = 0 (W = 0, so T is infinite) to the clip
+        span = np.minimum(2.0 * np.maximum(np.ceil(np.fmin(half, left)), 1.0), left)
+        occ[idx] += (span * (sign < alpha)).astype(np.int64)
+        left -= span
+        keep = left > 0
+        idx, left = idx[keep], left[keep]
     return occ
 
 
 def _block_counts(alpha: float, intervals: int, size: int, seed: int, block: int) -> np.ndarray:
     return _walk_counts(alpha, intervals, size, _block_rng(seed, block))
-
-
-def simulate_skew_walk(alpha: float, steps: int, rng: np.random.Generator) -> Fraction:
-    """Occupation fraction of a single skew walk, exact as a rational.
-
-    Reproducible bit-for-bit given the generator's state.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    counts = _walk_counts(alpha, steps, 1, rng)
-    return Fraction(int(counts[0]), steps)
 
 
 def path_occupation_counts(
@@ -164,8 +162,9 @@ def _summarize(counts: np.ndarray, config: SimConfig, t: Fraction) -> SimResult:
     m_paths = int(counts.size)
     top = 2 * config.max_moment
     power_sums = [0] * (top + 1)
-    for c in counts.tolist():  # exact integer accumulation, order-independent
-        p = 1
+    values, multiplicities = np.unique(counts, return_counts=True)
+    for c, m in zip(values.tolist(), multiplicities.tolist()):  # exact integers
+        p = m
         for n in range(1, top + 1):
             p *= c
             power_sums[n] += p

@@ -275,9 +275,12 @@ class BiPoly:
     def substitute_z(self, z0: Rational) -> UniPoly:
         """Evaluate the z variable, leaving a univariate polynomial in x."""
         v = _frac(z0)
+        powers = [Fraction(1)]
+        for _ in range(self.degree_z):
+            powers.append(powers[-1] * v)
         acc: dict[int, Fraction] = {}
         for (i, j), c in self._terms.items():
-            acc[i] = acc.get(i, Fraction(0)) + c * v**j
+            acc[i] = acc.get(i, Fraction(0)) + c * powers[j]
         if not acc:
             return UniPoly()
         out = [Fraction(0)] * (max(acc) + 1)

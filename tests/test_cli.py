@@ -312,12 +312,12 @@ GOLDEN_SHA256 = {
     "verify always-fails --jobs 1 --format table": "57e33aa648de04ffcd64f538f3431a403941ae39da7ff3b7818aaa11efc88570",
     "verify always-fails --jobs 1 --format json": "694d64af67a2cf14c834ed848498912e5c8dfc1e089e0c46962a264a6bca117c",
     "verify always-fails --jobs 1 --format csv": "9f6b344bfb3db331fde66f8d555449f0c3b3b6fb1dcae53167bf527931b07a35",
-    _SIM + " --format table": "7954920ba817a453c335d3a662f143b4c92a57da39d60edc712ff05e26184dca",
-    _SIM + " --format json": "1f5081dec2f72623ea0017d1e7497f0e8ab4de17174947eeaba30e806870e643",
-    _SIM + " --format csv": "8f127357fcf98ef48f71e0d906eff9f3a9586cf98a28dd263fc3d4ef3b17e0e8",
-    _SIM + " --t 1/2 --format table": "cbb5e3f6a4595e67b215b7c21e153b64a6ef233a4da4b9dfaaae574e96611083",
-    _SIM + " --t 1/2 --format json": "ed92554feb6b827f969fffa6084b807c7beb4033b862471ca97342e07180d836",
-    _SIM + " --t 1/2 --format csv": "c55a832de79c262c23c08de66ae2da9fe0c23e8cd727c773dfb3ce175b119a30",
+    _SIM + " --format table": "9792d62424388a6f853324e179e84bb5e3850d1070b26d0b354419adc8a7cf39",
+    _SIM + " --format json": "c1c8da571b7044e73ee7ad7e974e951295507d00bfa7360d57798d7a4e504d6a",
+    _SIM + " --format csv": "904ca166216962e07d760ea4210cccb00f256601c355b4e92020d3f612622c18",
+    _SIM + " --t 1/2 --format table": "ea87aac87e567ea586ef1273d7f0920415baef34f8c6b38ac720f4ec201c02bf",
+    _SIM + " --t 1/2 --format json": "2b3980ec6fb3e0200b54c2c6684e596738f123555a3f826dbea546927628c014",
+    _SIM + " --t 1/2 --format csv": "74cab741c76af4a9158ffeaf3a2285d270d0cf7cbbdfae261822e618e092ab0c",
 }
 
 

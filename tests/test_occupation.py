@@ -12,12 +12,7 @@ from stirbess.occupation import (
     _walk_counts,
     estimate_moments,
     path_occupation_counts,
-    simulate_skew_walk,
 )
-
-
-def _rng(seed=7):
-    return np.random.Generator(np.random.Philox(key=[seed, 0]))
 
 
 class TestSimConfig:
@@ -39,26 +34,6 @@ class TestSimConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             SimConfig(**base)
-
-
-class TestSinglePath:
-    def test_reproducible_bit_for_bit(self):
-        a = simulate_skew_walk(0.37, 500, _rng())
-        b = simulate_skew_walk(0.37, 500, _rng())
-        assert a == b
-        assert isinstance(a, Fraction)
-
-    def test_fraction_in_unit_interval(self):
-        for seed in range(5):
-            f = simulate_skew_walk(0.5, 200, _rng(seed))
-            assert 0 <= f <= 1
-            assert f.denominator in (1, 2, 4, 5, 8, 10, 20, 25, 40, 50, 100, 200)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            simulate_skew_walk(1.2, 10, _rng())
-        with pytest.raises(ValueError):
-            simulate_skew_walk(0.5, 0, _rng())
 
 
 def _exact_count_pmf(alpha: float, steps: int) -> list[Fraction]:
