@@ -234,6 +234,27 @@ class TestMutationSensitivity:
     def test_clean_tables_unaffected(self):
         assert verify("inversion", 10).passed
 
+    def test_corrupted_gs_table_is_detected(self):
+        # GS(0, 1) is the outer table of the (-2, -1, 1) composition triple and
+        # the gs-special stirling2 table, so both identities must read it
+        tables = Triangles()
+        tables.gs(0, 1, 12, 0)  # force rows to exist
+        tri = tables._gs[(Fraction(0), Fraction(1))]
+        row = list(tri._rows[6])
+        row[3] = -row[3]
+        tri._rows[6] = tuple(row)
+        expected = {"gs-composition": (6, 3, (-2, -1, 1)), "gs-special": (6, 3, "stirling2")}
+        for ident_id, first in expected.items():
+            identity = REGISTRY[ident_id]
+            report = verify(ident_id, 10, tables)
+            assert not report.passed
+            failures = [
+                params
+                for params in identity.cases(10)
+                if identity.evaluate(params, tables)[0] != identity.evaluate(params, tables)[1]
+            ]
+            assert report.counterexample.params == min(failures) == first
+
 
 class TestSerialization:
     def test_json_round_trip_and_no_timing_by_default(self, capsys):
@@ -266,6 +287,21 @@ class TestSerialization:
         cases = default_hagen_rothe_cases()
         assert (Fraction(1), 2, Fraction(14), 0) in cases
         assert all(a + b * k != 0 for a, b, c, n in cases for k in range(n + 1))
+
+
+# sha256 of the concatenated repr((lhs, rhs)) of every case at n_max = 9, so a
+# change to any generalized-Stirling value or its type (int or Fraction) fails here
+GS_VALUES_SHA256 = "0c4a24da013cad4b9efc9e8477e4e7694fff4b595af90d6ddf66cf92bec80353"
+
+
+def test_gs_values_and_types_pinned():
+    tables = Triangles()
+    text = "".join(
+        repr(REGISTRY[ident_id].evaluate(params, tables))
+        for ident_id in ("gs-composition", "sss2", "gs-scaling", "gs-special")
+        for params in REGISTRY[ident_id].cases(9)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == GS_VALUES_SHA256
 
 
 # sha256 of repr(list(cases(n))) + describe_range(n) at n = 1 and 9, so any
