@@ -175,14 +175,10 @@ def gs_composition_identity(triples: Sequence[tuple]) -> Identity:
 
     def evaluate(params, t):
         n, k, (s, nu, sigma) = params
-        lhs = t.gs(s / nu, nu, n, k)
-        inner_s = s / (nu - sigma)
-        outer_s = (s + sigma - nu) / sigma
-        rhs = sum(
-            t.gs(inner_s, nu - sigma, n, i) * t.gs(outer_s, sigma, i, k)
-            for i in range(k, n + 1)
-        )
-        return lhs, rhs
+        lhs = t.gs_rows(s / nu, nu, n)[n][k]
+        inner = t.gs_rows(s / (nu - sigma), nu - sigma, n)[n]
+        outer = t.gs_rows((s + sigma - nu) / sigma, sigma, n)
+        return lhs, sum(inner[i] * outer[i][k] for i in range(k, n + 1))
 
     return Identity(
         ident="gs-composition",

@@ -74,6 +74,8 @@ class SimConfig:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if self.steps < 1:
             raise ValueError("steps must be positive")
+        if self.steps > 2**53:  # the walk kernel's float path lengths are exact up to here
+            raise ValueError("steps must be at most 2**53")
         if self.paths < 1:
             raise ValueError("paths must be positive")
         if self.max_moment < 1:

@@ -1,14 +1,20 @@
 """Number triangles: Stirling (both kinds), Lah, Bessel, generalized Stirling.
 
-The recursively defined families share one two-term recurrence shape,
+The recursively defined families share one recurrence whose coefficient is
+linear in n and k,
 
-    T(n+1, k) = T(n, k-1) + c(n, k) * T(n, k),
+    T(n+1, k) = T(n, k-1) + (a*n + b*k) * T(n, k),
 
 with delta initial conditions T(n, 0) = [n == 0], T(0, k) = [k == 0], and
 
-    c(n, k) = n                    unsigned Stirling, first kind
-    c(n, k) = k                    Stirling, second kind
-    c(n, k) = h*(k + s*(n - k))    generalized Stirling with parameters (s, h)
+    (a, b) = (1, 0)              unsigned Stirling, first kind
+    (a, b) = (0, 1)              Stirling, second kind
+    (a, b) = (h*s, h - h*s)      generalized Stirling with parameters (s, h),
+                                 whose coefficient is h*(k + s*(n - k))
+
+A ``RecurrenceTriangle`` holds (a, b) and its rows.  Generalized-Stirling
+rows start from ``Fraction(1)``, so they are ``Fraction`` when built;
+``Triangles.gs_rows`` returns them for summing and ``Triangles.gs`` indexes them.
 
 Bessel numbers of the first kind b(n, k) and second kind B(n, k), and the
 Lah numbers L(n, k), are module functions computing their factorial closed
@@ -26,42 +32,36 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Callable
 
 from .exactnum import binomial_int, factorial
 from .polys import Rational
 
 
 class RecurrenceTriangle:
-    """Memoized rows of one recursively defined triangle."""
+    """Memoized rows of T(n+1, k) = T(n, k-1) + (a*n + b*k) * T(n, k), T(0, 0) = one."""
 
-    def __init__(self, coeff: Callable[[int, int], Rational]):
-        self._coeff = coeff
-        self._rows: list[tuple] = [(1,)]
+    def __init__(self, a: Rational, b: Rational, one: Rational = 1):
+        self._a, self._b = a, b
+        self._rows: list[tuple] = [(one,)]
         self._lock = threading.Lock()
 
-    def row(self, n: int) -> tuple:
+    def rows(self, n: int) -> list[tuple]:
+        """The sealed rows, at least rows 0..n; row m holds T(m, 0..m)."""
         if n < 0:
             raise ValueError("row index must be nonnegative")
         if n >= len(self._rows):
             with self._lock:
+                a, b = self._a, self._b
                 while len(self._rows) <= n:
-                    m = len(self._rows) - 1
-                    prev = self._rows[m]
-                    nxt = []
-                    for k in range(m + 2):
-                        above = prev[k] if k <= m else 0
-                        left = prev[k - 1] if 1 <= k <= m + 1 else 0
-                        nxt.append(left + self._coeff(m, k) * above)
-                    self._rows.append(tuple(nxt))
-        return self._rows[n]
+                    prev = self._rows[-1]
+                    am = a * (len(prev) - 1)
+                    middle = (prev[k - 1] + (am + b * k) * prev[k] for k in range(1, len(prev)))
+                    self._rows.append((am * prev[0], *middle, prev[-1]))
+        return self._rows
 
     def value(self, n: int, k: int):
-        if n < 0:
-            raise ValueError("row index must be nonnegative")
-        if k < 0 or k > n:
-            return 0
-        return self.row(n)[k]
+        row = self.rows(n)[n]
+        return row[k] if 0 <= k <= n else 0
 
 
 def bessel_b(n: int, k: int) -> int:
@@ -123,8 +123,8 @@ class Triangles:
     """
 
     def __init__(self):
-        self._stirling1 = RecurrenceTriangle(lambda n, k: n)
-        self._stirling2 = RecurrenceTriangle(lambda n, k: k)
+        self._stirling1 = RecurrenceTriangle(1, 0)
+        self._stirling2 = RecurrenceTriangle(0, 1)
         self._gs: dict[tuple[Fraction, Fraction], RecurrenceTriangle] = {}
         self._gs_lock = threading.Lock()
 
@@ -140,21 +140,22 @@ class Triangles:
         v = self._stirling1.value(n, k)
         return -v if (n - k) % 2 else v
 
-    def gs(self, s: Rational, h: Rational, n: int, k: int) -> Fraction:
-        """Generalized Stirling number with parameters (s, h), h != 0."""
-        s = Fraction(s)
-        h = Fraction(h)
+    def gs_rows(self, s: Rational, h: Rational, n: int) -> list[tuple[Fraction, ...]]:
+        """The sealed rows, at least rows 0..n, of the generalized Stirling
+        table with parameters (s, h), h != 0; row m holds GS(m, 0..m)."""
+        s, h = Fraction(s), Fraction(h)
         if h == 0:
             raise ValueError("parameter h must be nonzero")
-        key = (s, h)
-        table = self._gs.get(key)
+        table = self._gs.get((s, h))
         if table is None:
             with self._gs_lock:
-                table = self._gs.setdefault(
-                    key, RecurrenceTriangle(lambda n_, k_: h * (k_ + s * (n_ - k_)))
-                )
-        v = table.value(n, k)
-        return v if isinstance(v, Fraction) else Fraction(v)
+                table = self._gs.setdefault((s, h), RecurrenceTriangle(h * s, h - h * s, Fraction(1)))
+        return table.rows(n)
+
+    def gs(self, s: Rational, h: Rational, n: int, k: int) -> Fraction:
+        """Generalized Stirling number with parameters (s, h), h != 0."""
+        row = self.gs_rows(s, h, n)[n]
+        return row[k] if 0 <= k <= n else Fraction(0)
 
 
 DEFAULT = Triangles()

@@ -72,7 +72,7 @@ def test_c5_supporting_identities():
         verify("cross-bb", 40),
         verify("gs-scaling", 20),
         verify("gs-special", 25),
-        verify("gs-composition", 20),
+        verify("gs-composition", 40),
         verify("sss2", 20),
         verify("lemma-keys", 20),
         verify("hagen-rothe", 1),

@@ -169,6 +169,10 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--alpha", "1.5")
         assert code == 2 and "alpha" in err
 
+    def test_steps_above_float_exact_range(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--alpha", "0.5", "--steps", str(2**53 + 1), "--paths", "10")
+        assert code == 2 and out == "" and "steps" in err
+
     def test_t_out_of_range(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--alpha", "0.5", "--t", "0", "--steps", "10", "--paths", "10")
         assert code == 2

@@ -23,6 +23,7 @@ class TestSimConfig:
             dict(alpha=1.0),
             dict(alpha=1.5),
             dict(steps=0),
+            dict(steps=2**53 + 1),
             dict(paths=0),
             dict(max_moment=0),
             dict(seed=-1),
