@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import stirbess
 from stirbess.exactnum import binomial_rat
 from stirbess.families import (
     bessel_poly,
@@ -64,6 +69,18 @@ class TestPnRecurrence:
     @pytest.mark.parametrize("x, z", [(Fraction(2, 7), Fraction(-3, 5)), (Fraction(-5, 3), Fraction(9, 4))])
     def test_large_n_matches_numeric_recurrence(self, n, x, z):
         assert pn_recurrence(n)(x, z) == pn_value_by_numeric_recurrence(n, x, z)
+
+    def test_cold_cache_filled_out_of_order(self):
+        # the tests above leave the P_n cache warm, so start from a fresh interpreter
+        code = (
+            "from stirbess.families import pn_closed_form, pn_recurrence\n"
+            "for n in (12, 5, 20, 21, 1):\n"
+            "    assert pn_recurrence(n) == pn_closed_form(n), n\n"
+        )
+        path = [str(Path(stirbess.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestPnClosedForm:
