@@ -17,7 +17,6 @@ polynomial at z = -2.
 from __future__ import annotations
 
 import functools
-import threading
 from fractions import Fraction
 
 from . import triangles
@@ -27,7 +26,6 @@ from .triangles import Triangles
 
 _pn_cache: list[BiPoly] = [BiPoly(), BiPoly.x()]  # index n -> P_n; slot 0 unused
 _qn_cache: list[list[list[int]]] = [[], [[], [1]]]  # index n -> Q_n = (n-1)! P_n; see pn_recurrence
-_pn_lock = threading.Lock()
 
 
 def pn_recurrence(n: int) -> BiPoly:
@@ -46,17 +44,13 @@ def pn_recurrence(n: int) -> BiPoly:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n >= len(_pn_cache):
-        with _pn_lock:
-            while len(_qn_cache) <= n:
-                _qn_cache.append(_next_q(len(_qn_cache) - 1))
-            while len(_pn_cache) <= n:
-                m = len(_pn_cache)
-                denom = factorial(m - 1)
-                _pn_cache.append(BiPoly({
-                    (i, j): Fraction(c, denom)
-                    for i, row in enumerate(_qn_cache[m]) for j, c in enumerate(row) if c
-                }))
+    while len(_pn_cache) <= n:
+        m = len(_pn_cache)
+        _qn_cache.append(_next_q(m - 1))
+        denom = factorial(m - 1)
+        _pn_cache.append(BiPoly({
+            (i, j): Fraction(c, denom) for i, row in enumerate(_qn_cache[m]) for j, c in enumerate(row) if c
+        }))
     return _pn_cache[n]
 
 
@@ -66,7 +60,7 @@ def _times_z_plus(c: int, p: list[int]) -> list[int]:
 
 
 def _next_q(n: int) -> list[list[int]]:
-    """Q_{n+1} from the cached Q_1..Q_n; the caller holds ``_pn_lock``.
+    """Q_{n+1} from the cached Q_1..Q_n.
 
     R_{n-m,n-m+1}(z) = z (z+1) ... (z+n-m), so the sum is z * G_n in Horner
     form: G_1 = Q_1 and G_m = C(n, m-1) Q_m + (z+n-m+1) G_{m-1}.  That costs

@@ -198,7 +198,9 @@ def sss2_identity(z_values: Sequence) -> Identity:
 
     def evaluate(params, t):
         n, k, z = params
-        return _s1s2_sum(t, n, k, lambda i: z**i), z**n * t.gs(1 / (z + 1), (z + 1) / z, n, k)
+        p, q = z.numerator, z.denominator  # z^i = p^i q^(n-i) / q^n: one integer sum
+        lhs = Fraction(_s1s2_sum(t, n, k, lambda i: p**i * q ** (n - i)), q**n)
+        return lhs, z**n * t.gs(1 / (z + 1), (z + 1) / z, n, k)
 
     return Identity(
         ident="sss2",

@@ -3,7 +3,8 @@
 ``UniPoly`` is a dense univariate polynomial, ``BiPoly`` a sparse bivariate
 polynomial in the formal variables x and z.  Coefficients are
 ``fractions.Fraction`` throughout, every operation is exact, and values are
-immutable after construction, so they can be shared freely across threads.
+immutable after construction.  ``BiPoly`` holds the coefficients of P_n(x, z)
+for comparison, evaluation and printing; it has no addition.
 """
 
 from __future__ import annotations
@@ -172,28 +173,15 @@ class BiPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, int], Rational] | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        d: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in items:
-            if i < 0 or j < 0:
-                raise ValueError("monomial exponents must be nonnegative")
-            c = _frac(c)
-            if c != 0:
-                acc = d[(i, j)] + c if (i, j) in d else c
-                if acc:
-                    d[(i, j)] = acc
-                else:
-                    d.pop((i, j), None)
-        self._terms = d
+    def __init__(self, terms: Mapping[tuple[int, int], Rational] | None = None):
+        terms = terms or {}
+        if any(i < 0 or j < 0 for i, j in terms):
+            raise ValueError("monomial exponents must be nonnegative")
+        self._terms = {key: _frac(c) for key, c in terms.items() if c}
 
     @classmethod
     def x(cls) -> "BiPoly":
         return cls({(1, 0): 1})
-
-    @classmethod
-    def from_x_poly(cls, p: UniPoly) -> "BiPoly":
-        return cls({(i, 0): c for i, c in enumerate(p.coeffs)})
 
     @classmethod
     def from_z_poly(cls, p: UniPoly) -> "BiPoly":
@@ -224,53 +212,15 @@ class BiPoly:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __add__(self, other: "BiPoly") -> "BiPoly":
+    def __mul__(self, other: "BiPoly") -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
-        d = dict(self._terms)
-        for key, c in other._terms.items():
-            acc = d.get(key, Fraction(0)) + c
-            if acc:
-                d[key] = acc
-            else:
-                d.pop(key, None)
-        out = BiPoly()
-        out._terms = d
-        return out
-
-    def __neg__(self) -> "BiPoly":
-        out = BiPoly()
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: Union["BiPoly", Rational]) -> "BiPoly":
-        if isinstance(other, BiPoly):
-            d: dict[tuple[int, int], Fraction] = {}
-            for (i1, j1), c1 in self._terms.items():
-                for (i2, j2), c2 in other._terms.items():
-                    key = (i1 + i2, j1 + j2)
-                    acc = d.get(key, Fraction(0)) + c1 * c2
-                    if acc:
-                        d[key] = acc
-                    else:
-                        d.pop(key, None)
-            out = BiPoly()
-            out._terms = d
-            return out
-        if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            out = BiPoly()
-            out._terms = {} if c == 0 else {k: v * c for k, v in self._terms.items()}
-            return out
-        return NotImplemented
-
-    def __rmul__(self, other: Rational) -> "BiPoly":
-        return self.__mul__(other)
+        d: dict[tuple[int, int], Fraction] = {}
+        for (i1, j1), c1 in self._terms.items():
+            for (i2, j2), c2 in other._terms.items():
+                key = (i1 + i2, j1 + j2)
+                d[key] = d.get(key, 0) + c1 * c2
+        return BiPoly(d)
 
     def substitute_z(self, z0: Rational) -> UniPoly:
         """Evaluate the z variable, leaving a univariate polynomial in x."""

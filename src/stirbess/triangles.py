@@ -24,13 +24,11 @@ code path.  ``Triangles`` holds only the memoized recurrence tables.
 
 Entries outside 0 <= k <= n are implicitly 0, with the (0, 0) = 1
 convention, so summation identities can run with free index ranges.
-Rows are built single-threaded under a lock and sealed as tuples; sealed
-rows are safe for unrestricted concurrent reads.
+Rows are sealed as tuples when built.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 from .exactnum import binomial_int, factorial
@@ -43,20 +41,17 @@ class RecurrenceTriangle:
     def __init__(self, a: Rational, b: Rational, one: Rational = 1):
         self._a, self._b = a, b
         self._rows: list[tuple] = [(one,)]
-        self._lock = threading.Lock()
 
     def rows(self, n: int) -> list[tuple]:
         """The sealed rows, at least rows 0..n; row m holds T(m, 0..m)."""
         if n < 0:
             raise ValueError("row index must be nonnegative")
-        if n >= len(self._rows):
-            with self._lock:
-                a, b = self._a, self._b
-                while len(self._rows) <= n:
-                    prev = self._rows[-1]
-                    am = a * (len(prev) - 1)
-                    middle = (prev[k - 1] + (am + b * k) * prev[k] for k in range(1, len(prev)))
-                    self._rows.append((am * prev[0], *middle, prev[-1]))
+        a, b = self._a, self._b
+        while len(self._rows) <= n:
+            prev = self._rows[-1]
+            am = a * (len(prev) - 1)
+            middle = (prev[k - 1] + (am + b * k) * prev[k] for k in range(1, len(prev)))
+            self._rows.append((am * prev[0], *middle, prev[-1]))
         return self._rows
 
     def value(self, n: int, k: int):
@@ -126,7 +121,6 @@ class Triangles:
         self._stirling1 = RecurrenceTriangle(1, 0)
         self._stirling2 = RecurrenceTriangle(0, 1)
         self._gs: dict[tuple[Fraction, Fraction], RecurrenceTriangle] = {}
-        self._gs_lock = threading.Lock()
 
     def stirling1(self, n: int, k: int) -> int:
         """Unsigned Stirling number of the first kind (cycle counts)."""
@@ -148,8 +142,7 @@ class Triangles:
             raise ValueError("parameter h must be nonzero")
         table = self._gs.get((s, h))
         if table is None:
-            with self._gs_lock:
-                table = self._gs.setdefault((s, h), RecurrenceTriangle(h * s, h - h * s, Fraction(1)))
+            table = self._gs[s, h] = RecurrenceTriangle(h * s, h - h * s, Fraction(1))
         return table.rows(n)
 
     def gs(self, s: Rational, h: Rational, n: int, k: int) -> Fraction:
