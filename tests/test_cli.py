@@ -317,6 +317,11 @@ GOLDEN_SHA256 = {
     "poly pn-closed --n 4 --format json": "30201bb6e9f7fba3686274beb5778c89ee8af08e222cbcea127e0aeff4a2acad",
     "poly bessel-theta --n 5 --format csv": "af042e006eca5deb8ea74ba8f1fb0de017375af1e2a865879a66df4e0a26778f",
     "poly chebyshev --n 6 --format table": "9d8cd18cafe63af6f1134ec33d75b406dd38791303c686e5a56278d877c4e788",
+    "poly chebyshev --n 60 --format json": "f4bc257ae47af0a57d12b076508eb5db47b30d69494819f23a7eeab0aa40ad73",
+    "poly bessel-y --n 40 --format csv": "ff952681c79672b93e40d9547adda7f366d9c3c4f361e7bab0fc533ad28c5011",
+    "poly bessel-theta --n 40 --format table": "93c2d09de0f23dc53b24b85f5e937704aa8aad4ed0ef089538d00f7221904a3f",
+    "poly pn --n 12 --z 3 --format json": "4bc044c7f41ecd22871e5cb42c2309a07f0a05578dbcd091a7369baa3a65c575",
+    "poly pn --n 12 --z 0 --format csv": "a7254c3e36c6e9cee04738b082235eacde1661ab27bd718ee0b4b37bf62df8d5",
     "verify thm1 lah --n-max 6 --jobs 1 --format table": "0275a23c3e40bb2a36e50ec1ed2278c653ab692fa7efbdf572468c2a1ff59153",
     "verify thm1 lah --n-max 6 --jobs 1 --format json": "9c8a0fbb0af71d5a91215ca436ba184877df002a4c718d1a80280ade880f3890",
     "verify thm1 lah --n-max 6 --jobs 1 --format csv": "edd33d0ef550194d999644aca1af5364de683d7e9e92de4c185689ad876d48a0",
