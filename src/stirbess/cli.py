@@ -215,7 +215,7 @@ def _cmd_triangle(args) -> int | _Output:
 def _unipoly_output(args, poly, z) -> _Output:
     return _Output(
         0,
-        lines=(p.to_str() for p in [poly]),
+        lines=[str(poly)],
         payload=lambda: {
             "which": args.which,
             "n": args.n,

@@ -109,7 +109,7 @@ def pn_skew_bm(n: int) -> UniPoly:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     for k in range(n):
         coeffs[n - k] = Fraction(binomial_int(n + k - 1, k), 2 ** (n + k - 1))
     return UniPoly(coeffs)
@@ -123,7 +123,7 @@ def pn_z_minus2(n: int) -> UniPoly:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     for k in range((n + 1) // 2, n + 1):
         c = Fraction(factorial(k - 1) * 2 ** (2 * k - n), factorial(n - k) * factorial(2 * k - n))
         if (n - k) % 2:
@@ -136,10 +136,10 @@ def pn_z_one(n: int) -> UniPoly:
     """P_n(x, 1) = 1 - (1-x)^n = sum_{k=1..n} (-1)^(k+1) C(n, k) x^k."""
     if n < 1:
         raise ValueError("n must be positive")
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     for k in range(1, n + 1):
         v = binomial_int(n, k)
-        coeffs[k] = Fraction(-v if k % 2 == 0 else v)
+        coeffs[k] = -v if k % 2 == 0 else v
     return UniPoly(coeffs)
 
 
@@ -200,7 +200,7 @@ def pn_via_chebyshev(n: int) -> UniPoly:
     if n < 1:
         raise ValueError("n must be positive")
     t = chebyshev_t(n)
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     for m, c in enumerate(t.coeffs):
         if c == 0:
             continue

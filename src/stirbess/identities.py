@@ -120,7 +120,7 @@ def _cross_bb_eval(params, t):
 def _bessel_coeff_eval(params, t):
     n, k = params
     c = families.bessel_poly(n - 1).coefficient(n - k)  # coefficient of x^(n-k) in y_{n-1}(-x)
-    return Fraction(bessel_b(n, k)), _sign(n - k, c)
+    return bessel_b(n, k), _sign(n - k, c)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,7 @@ def _pn_special_eval(params, t):
 def _moment_bessel_eval(params, t):
     (n,) = params
     scale = Fraction(1, 2 ** (n - 1) * factorial(n - 1))
-    coeffs = [Fraction(0)]
+    coeffs = [0]
     for k in range(1, n + 1):
         coeffs.append(scale * _sign(n - k, factorial(k - 1) * bessel_b(n, k)))
     return families.pn_skew_bm(n), UniPoly(coeffs)

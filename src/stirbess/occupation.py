@@ -53,6 +53,16 @@ from .polys import Rational
 
 BATCH_PATHS = 32768
 
+# Kernel cost model, measured on 2 cores with Python 3.11.7: a walk of N steps
+# takes about sqrt(N) rounds, and a round costs about 27 ns per path plus
+# about 27 us of fixed numpy work, the cost of ROUND_OVERHEAD_PATHS paths.
+# MAX_PATH_ROUNDS of isqrt(steps) * (paths + ROUND_OVERHEAD_PATHS) is about a
+# minute of one core.  The counts take about 24 bytes per path, so MAX_PATHS
+# keeps them near 800 MB however short the walk.
+ROUND_OVERHEAD_PATHS = 1000
+MAX_PATH_ROUNDS = 2 * 10**9
+MAX_PATHS = 2**25
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -78,6 +88,13 @@ class SimConfig:
             raise ValueError("steps must be at most 2**53")
         if self.paths < 1:
             raise ValueError("paths must be positive")
+        if self.paths > MAX_PATHS:
+            raise ValueError("paths must be at most 2**25")
+        if math.isqrt(self.steps) * (self.paths + ROUND_OVERHEAD_PATHS) > MAX_PATH_ROUNDS:
+            raise ValueError(
+                f"isqrt(steps) * (paths + {ROUND_OVERHEAD_PATHS}) must be at most {MAX_PATH_ROUNDS}, "
+                "about a minute of walk kernel work"
+            )
         if self.max_moment < 1:
             raise ValueError("max_moment must be positive")
         if not 0 <= self.seed < 2**64:

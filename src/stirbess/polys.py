@@ -1,10 +1,13 @@
 """Exact polynomial arithmetic over the rationals.
 
 ``UniPoly`` is a dense univariate polynomial, ``BiPoly`` a sparse bivariate
-polynomial in the formal variables x and z.  Coefficients are
-``fractions.Fraction`` throughout, every operation is exact, and values are
-immutable after construction.  ``BiPoly`` holds the coefficients of P_n(x, z)
-for comparison, evaluation and printing; it has no addition.
+polynomial in the formal variables x and z.  Coefficients are exact, ``int``
+or ``fractions.Fraction``, never ``float``: each keeps the type its
+arithmetic gave, so an integral family stays ``int`` and only a division
+makes a ``Fraction``.  The two compare, hash and print alike.  Every
+operation is exact, and values are immutable after construction.  ``BiPoly``
+holds the coefficients of P_n(x, z) for comparison, evaluation and printing;
+it has no addition.
 """
 
 from __future__ import annotations
@@ -13,10 +16,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 Rational = Union[int, Fraction]
-
-
-def _frac(value: Rational) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 class UniPoly:
@@ -29,7 +28,7 @@ class UniPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [_frac(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -45,17 +44,17 @@ class UniPoly:
         return cls((0, 1))
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> tuple[Rational, ...]:
         return self._coeffs
 
     @property
     def degree(self) -> int:
         return len(self._coeffs) - 1
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> Rational:
         if 0 <= k < len(self._coeffs):
             return self._coeffs[k]
-        return Fraction(0)
+        return 0
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -91,7 +90,7 @@ class UniPoly:
         if isinstance(other, UniPoly):
             if not self._coeffs or not other._coeffs:
                 return UniPoly()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
+            out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
             for i, a in enumerate(self._coeffs):
                 if a == 0:
                     continue
@@ -124,16 +123,15 @@ class UniPoly:
             raise ValueError("shift must be nonnegative")
         if not self._coeffs:
             return UniPoly()
-        return UniPoly((Fraction(0),) * k + self._coeffs)
+        return UniPoly((0,) * k + self._coeffs)
 
-    def __call__(self, value: Rational) -> Fraction:
-        v = _frac(value)
-        acc = Fraction(0)
+    def __call__(self, value: Rational) -> Rational:
+        acc = 0
         for c in reversed(self._coeffs):
-            acc = acc * v + c
+            acc = acc * value + c
         return acc
 
-    def to_str(self, var: str = "x") -> str:
+    def __str__(self) -> str:
         if not self._coeffs:
             return "0"
         parts: list[str] = []
@@ -150,16 +148,13 @@ class UniPoly:
             if k == 0:
                 term = coeff
             else:
-                xk = var if k == 1 else f"{var}^{k}"
+                xk = "x" if k == 1 else f"x^{k}"
                 term = xk if coeff == "1" else f"{coeff}{xk}"
             if not parts:
                 parts.append(term if sign == "+" else f"-{term}")
             else:
                 parts.append(f"{sign} {term}")
         return " ".join(parts)
-
-    def __str__(self) -> str:
-        return self.to_str()
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self._coeffs)!r})"
@@ -177,7 +172,7 @@ class BiPoly:
         terms = terms or {}
         if any(i < 0 or j < 0 for i, j in terms):
             raise ValueError("monomial exponents must be nonnegative")
-        self._terms = {key: _frac(c) for key, c in terms.items() if c}
+        self._terms = {key: c for key, c in terms.items() if c}
 
     @classmethod
     def x(cls) -> "BiPoly":
@@ -187,12 +182,12 @@ class BiPoly:
     def from_z_poly(cls, p: UniPoly) -> "BiPoly":
         return cls({(0, j): c for j, c in enumerate(p.coeffs)})
 
-    def items(self) -> list[tuple[tuple[int, int], Fraction]]:
+    def items(self) -> list[tuple[tuple[int, int], Rational]]:
         """Terms sorted lexicographically by (x power, z power)."""
         return sorted(self._terms.items())
 
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
+    def coefficient(self, i: int, j: int) -> Rational:
+        return self._terms.get((i, j), 0)
 
     @property
     def degree_x(self) -> int:
@@ -215,7 +210,7 @@ class BiPoly:
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
-        d: dict[tuple[int, int], Fraction] = {}
+        d: dict[tuple[int, int], Rational] = {}
         for (i1, j1), c1 in self._terms.items():
             for (i2, j2), c2 in other._terms.items():
                 key = (i1 + i2, j1 + j2)
@@ -224,21 +219,15 @@ class BiPoly:
 
     def substitute_z(self, z0: Rational) -> UniPoly:
         """Evaluate the z variable, leaving a univariate polynomial in x."""
-        v = _frac(z0)
-        powers = [Fraction(1)]
+        powers = [1]
         for _ in range(self.degree_z):
-            powers.append(powers[-1] * v)
-        acc: dict[int, Fraction] = {}
+            powers.append(powers[-1] * z0)
+        out = [0] * (self.degree_x + 1)
         for (i, j), c in self._terms.items():
-            acc[i] = acc.get(i, Fraction(0)) + c * powers[j]
-        if not acc:
-            return UniPoly()
-        out = [Fraction(0)] * (max(acc) + 1)
-        for i, c in acc.items():
-            out[i] = c
+            out[i] += c * powers[j]
         return UniPoly(out)
 
-    def __call__(self, x0: Rational, z0: Rational) -> Fraction:
+    def __call__(self, x0: Rational, z0: Rational) -> Rational:
         return self.substitute_z(z0)(x0)
 
     def __str__(self) -> str:

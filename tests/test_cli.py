@@ -173,6 +173,17 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "--alpha", "0.5", "--steps", str(2**53 + 1), "--paths", "10")
         assert code == 2 and out == "" and "steps" in err
 
+    @pytest.mark.parametrize(
+        "steps, paths, message",
+        [(2**53, 2, "about a minute"), (10**4, 3 * 10**7, "about a minute"), (1, 2**25 + 1, "paths")],
+    )
+    def test_kernel_cost_refused(self, capsys, steps, paths, message):
+        code, out, err = run_cli(
+            capsys, "simulate", "--alpha", "0.5", "--steps", str(steps), "--paths", str(paths),
+            "--moments", "1", "--jobs", "1",
+        )
+        assert code == 2 and out == "" and message in err
+
     def test_t_out_of_range(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--alpha", "0.5", "--t", "0", "--steps", "10", "--paths", "10")
         assert code == 2

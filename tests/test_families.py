@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import stirbess
-from stirbess.exactnum import binomial_rat
+from stirbess.exactnum import binomial_poly_upper, binomial_rat, falling_factorial_poly, rising_factorial_poly
 from stirbess.families import (
     bessel_poly,
     chebyshev_t,
@@ -208,3 +208,41 @@ class TestChebyshevConstruction:
     def test_matches_minus_two_slice(self):
         for n in range(1, 21):
             assert pn_via_chebyshev(n) == pn_z_minus2(n)
+
+
+# Coefficients keep the exact type their arithmetic gives: int for an
+# integral family, Fraction only where a division happened, never float.
+INTEGRAL_FAMILIES = {
+    "bessel_poly": lambda: bessel_poly(40),
+    "reverse_bessel_poly": lambda: reverse_bessel_poly(40),
+    "chebyshev_t": lambda: chebyshev_t(60),
+    "rising_factorial_poly": lambda: rising_factorial_poly(30),
+    "falling_factorial_poly": lambda: falling_factorial_poly(30),
+    "pn_z_one": lambda: pn_z_one(30),
+    "pn_via_chebyshev": lambda: pn_via_chebyshev(30),
+}
+DIVIDED_FAMILIES = {
+    "pn_skew_bm": lambda: pn_skew_bm(12),
+    "binomial_poly_upper": lambda: binomial_poly_upper(3, 7),
+}
+
+
+class TestCoefficientTypes:
+    @pytest.mark.parametrize("family", sorted(INTEGRAL_FAMILIES))
+    def test_integral_families_hold_ints(self, family):
+        p = INTEGRAL_FAMILIES[family]()
+        assert p.degree >= 30
+        assert all(type(c) is int for c in p.coeffs)
+
+    @pytest.mark.parametrize("family", sorted(DIVIDED_FAMILIES))
+    def test_divided_families_hold_fractions(self, family):
+        coeffs = DIVIDED_FAMILIES[family]().coeffs
+        assert all(type(c) in (int, Fraction) for c in coeffs)
+        assert any(type(c) is Fraction and c.denominator != 1 for c in coeffs)
+
+    @pytest.mark.parametrize("family", sorted(INTEGRAL_FAMILIES.keys() | DIVIDED_FAMILIES.keys()))
+    def test_evaluation_at_a_fraction_stays_exact(self, family):
+        p = {**INTEGRAL_FAMILIES, **DIVIDED_FAMILIES}[family]()
+        value = p(Fraction(-3, 7))
+        assert type(value) in (int, Fraction)
+        assert value == sum(c * Fraction(-3, 7) ** k for k, c in enumerate(p.coeffs))

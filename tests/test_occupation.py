@@ -25,6 +25,9 @@ class TestSimConfig:
             dict(steps=0),
             dict(steps=2**53 + 1),
             dict(paths=0),
+            dict(steps=2**53, paths=2),  # over a minute of walk kernel work
+            dict(steps=10**4, paths=3 * 10**7),
+            dict(steps=1, paths=2**25 + 1),  # over 800 MB of counts
             dict(max_moment=0),
             dict(seed=-1),
             dict(seed=2**64),
@@ -35,6 +38,13 @@ class TestSimConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             SimConfig(**base)
+
+    def test_kernel_cost_limit_is_inclusive(self):
+        # isqrt(10**8) * (199_000 + 1000) is exactly the limit of 2 * 10**9 path-rounds
+        SimConfig(alpha=0.5, steps=10**8, paths=199_000, max_moment=1, seed=1)
+        with pytest.raises(ValueError, match="about a minute"):
+            SimConfig(alpha=0.5, steps=10**8, paths=199_001, max_moment=1, seed=1)
+        SimConfig(alpha=0.5, steps=1, paths=2**25, max_moment=1, seed=1)
 
 
 def _exact_count_pmf(alpha: float, steps: int) -> list[Fraction]:
