@@ -315,6 +315,13 @@ GOLDEN_SHA256 = {
     "triangle stirling1-signed --n 7 --format json": "8f446dc63b3a7a5507315aeb8a68b40a5e5e120806cfc396a5a8794c218b5092",
     "triangle lah --n 7 --format csv": "ecaf6125c3579236498d59ddb3d649473c38f70c997ad4e7416e4b5d418b7bd6",
     "triangle bessel-B --n 7 --format table": "f41fe74d1f2b245673b1b97d47ca8e96ae03fc2b342e4a654ba9843425bcf420",
+    "triangle stirling1 --n 60 --format csv": "5012c2ebbdc4af8fe040d915545aa3b69bbb27a4e7faf3741313cdd97b84df39",
+    "triangle stirling1-signed --n 60 --format csv": "296649d1410bbc1c5a939798d00fd4b21d537a22de10ea2893bd557136f865c0",
+    "triangle stirling2 --n 60 --format csv": "b6d81e568ed0d761779f46662409f442563f2e2f2a7ad604d895fe4889949ec3",
+    "triangle lah --n 60 --format csv": "71f88443a3f3ae947c418713d71096e74935f81a6754ae40e70b8eeb0f305295",
+    "triangle bessel-b --n 60 --format csv": "be5b1cd4af65add7fbb7784131edfba303186fcde13b3208d22f9ca15c817d57",
+    "triangle bessel-B --n 60 --format csv": "f8c224f8bc7bd33fd24ee4de539516b4b9d481cc501243df179b715efd1e953a",
+    "triangle gs --s 1/2 --h -3/2 --n 40 --format json": "5e9c58efe8c84153616e7d65d055d9f781f83b23579acc8455046d0922211ea6",
     "poly pn --n 4 --format table": "91b6841e2610acc2716842f8b8ffa6f5b6fda8ff9937b5186036977be0bf7c5b",
     "poly pn --n 4 --format json": "29c0ca1559d36a0b4d8cf3b51948a37d834d04c81c03ab3cd962bd2abc461b4e",
     "poly pn --n 4 --format csv": "8c1d6f740ee9433a55f5dea9d835cda52dd2e4913c4bf06ec098f66c474189fe",

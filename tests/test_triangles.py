@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from stirbess.exactnum import factorial
 from stirbess.families import bessel_poly
 from stirbess.triangles import (
+    RecurrenceTriangle,
     Triangles,
     bessel_B,
     bessel_b,
@@ -174,6 +175,18 @@ class TestLah:
                     factorial(n) // (factorial(k) * factorial(n - k))
                 )
                 assert lah(n, k) == expected
+
+
+class TestClosedFormsAsRecurrences:
+    """Lah and both Bessel kinds satisfy T(n+1, k) = T(n, k-1) + (a*n + b*k) T(n, k)."""
+
+    @pytest.mark.parametrize(
+        "a, b, closed_form", [(1, 1, lah), (-2, 1, bessel_b), (-1, 2, bessel_B)], ids=["lah", "bessel-b", "bessel-B"]
+    )
+    def test_rows_equal_closed_forms(self, a, b, closed_form):
+        rows = RecurrenceTriangle(a, b).rows(80)
+        for n in range(81):
+            assert list(rows[n]) == [closed_form(n, k) for k in range(n + 1)], n
 
 
 class TestGeneralizedStirling:
