@@ -26,7 +26,6 @@ from .families import (
     reverse_bessel_poly,
 )
 from .identities import IdentityReport, run_suite, verify
-from .occupation import SimConfig, SimResult, estimate_moments
 from .polys import BiPoly, UniPoly
 from .triangles import (
     Triangles,
@@ -40,6 +39,17 @@ from .triangles import (
 )
 
 __version__ = "0.1.0"
+
+_OCCUPATION = ("SimConfig", "SimResult", "estimate_moments")
+
+
+def __getattr__(name: str):
+    # the simulation needs numpy, so it is imported only when asked for
+    if name in _OCCUPATION:
+        from . import occupation
+
+        return getattr(occupation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BiPoly",

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from . import families, identities, occupation, triangles
+from . import families, identities, triangles
 
 TRIANGLE_FAMILIES = (
     "stirling1",
@@ -158,24 +158,16 @@ def _emit(fmt: str, out: _Output) -> None:
 # ---------------------------------------------------------------------------
 # triangle
 
-def _triangle_value_fn(args):
-    if args.family == "gs":
-        if args.s is None or args.h is None:
-            raise ValueError("family gs requires --s and --h")
-        if args.h == 0:
-            raise ValueError("gs parameter h must be nonzero")
-        s, h = args.s, args.h
-        return lambda n, k: triangles.gs(s, h, n, k)
-    if args.s is not None or args.h is not None:
-        raise ValueError("--s/--h apply only to the gs family")
-    return {
-        "stirling1": triangles.stirling1,
-        "stirling1-signed": triangles.stirling1_signed,
-        "stirling2": triangles.stirling2,
-        "lah": triangles.lah,
-        "bessel-b": triangles.bessel_b,
-        "bessel-B": triangles.bessel_B,
-    }[args.family]
+# One entry of row n of each family that has a closed form for it: when that
+# entry is too long to print, so is the row, and --n is refused before any row
+# is built.  stirling2 and gs are checked only once built.
+_ROW_ENTRY = {
+    "stirling1": lambda n: math.factorial(n - 1),  # s(n, 1)
+    "stirling1-signed": lambda n: math.factorial(n - 1),
+    "lah": lambda n: triangles.lah(n, 1),  # n!
+    "bessel-b": lambda n: triangles.bessel_b(n, 1),  # (2n-2)!/(2^(n-1) (n-1)!)
+    "bessel-B": lambda n: triangles.bessel_B(n, (n + 1) // 2),
+}
 
 
 def _cell(value) -> int | str:
@@ -183,16 +175,29 @@ def _cell(value) -> int | str:
 
 
 def _cmd_triangle(args) -> int | _Output:
-    try:
-        value = _triangle_value_fn(args)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    if args.n_max < 0:
+    if args.family == "gs":
+        if args.s is None or args.h is None:
+            return _usage_error("family gs requires --s and --h")
+        if args.h == 0:
+            return _usage_error("gs parameter h must be nonzero")
+    elif args.s is not None or args.h is not None:
+        return _usage_error("--s/--h apply only to the gs family")
+    n_max = args.n_max
+    if n_max < 0:
         return _usage_error("--n must be nonnegative")
-    rows = [[value(n, k) for k in range(n + 1)] for n in range(args.n_max + 1)]
+    entry = _ROW_ENTRY.get(args.family)
+    limit = sys.get_int_max_str_digits()
+    # each entry grows with n and has more than `limit` digits by n = 2 * limit
+    # (limit >= 640), so even a huge --n is refused at once
+    if entry and n_max and limit and _too_long_to_print([entry(min(n_max, 2 * limit))]):
+        return _too_long_error()
+    if args.family == "gs":
+        rows = triangles.DEFAULT.gs_rows(args.s, args.h, n_max)[: n_max + 1]
+    else:
+        rows = triangles.DEFAULT.rows(args.family, n_max)
 
     def payload() -> dict:
-        d: dict = {"family": args.family, "n_max": args.n_max}
+        d: dict = {"family": args.family, "n_max": n_max}
         if args.family == "gs":
             d["s"] = str(args.s)
             d["h"] = str(args.h)
@@ -390,6 +395,8 @@ def _sim_lines(results):
 
 
 def _cmd_simulate(args) -> int | _Output:
+    from . import occupation  # numpy: only the simulation needs it
+
     try:
         config = occupation.SimConfig(
             alpha=args.alpha,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -469,6 +468,8 @@ def run_suite(
     """
     ids = _resolve_selection(selection)
     if jobs > 1 and tables is None and len(ids) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
             futures = {ident: pool.submit(verify, ident, n_max) for ident in ids}
             return [futures[ident].result() for ident in ids]

@@ -42,7 +42,6 @@ regardless of the worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -170,6 +169,8 @@ def path_occupation_counts(
         start += size
         b += 1
     if jobs > 1 and len(blocks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
             parts = list(pool.map(_block_counts, *zip(*blocks)))
     else:

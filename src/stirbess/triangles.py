@@ -1,7 +1,7 @@
 """Number triangles: Stirling (both kinds), Lah, Bessel, generalized Stirling.
 
-The recursively defined families share one recurrence whose coefficient is
-linear in n and k,
+Every family here satisfies one recurrence whose coefficient is linear in
+n and k,
 
     T(n+1, k) = T(n, k-1) + (a*n + b*k) * T(n, k),
 
@@ -9,18 +9,24 @@ with delta initial conditions T(n, 0) = [n == 0], T(0, k) = [k == 0], and
 
     (a, b) = (1, 0)              unsigned Stirling, first kind
     (a, b) = (0, 1)              Stirling, second kind
+    (a, b) = (1, 1)              Lah
+    (a, b) = (-2, 1)             Bessel, first kind (signed)
+    (a, b) = (-1, 2)             Bessel, second kind
     (a, b) = (h*s, h - h*s)      generalized Stirling with parameters (s, h),
                                  whose coefficient is h*(k + s*(n - k))
 
-A ``RecurrenceTriangle`` holds (a, b) and its rows.  Generalized-Stirling
-rows start from ``Fraction(1)``, so they are ``Fraction`` when built;
-``Triangles.gs_rows`` returns them for summing and ``Triangles.gs`` indexes them.
+A ``RecurrenceTriangle`` holds (a, b) and its rows.  ``Triangles`` holds one
+for each integral family in ``RECURRENCES`` and returns their rows with
+``Triangles.rows``; the signed Stirling numbers of the first kind are the
+unsigned ones with the sign (-1)^(n-k).  Generalized-Stirling rows start
+from ``Fraction(1)``, so they are ``Fraction`` when built;
+``Triangles.gs_rows`` returns them for summing and ``Triangles.gs`` indexes
+them.
 
 Bessel numbers of the first kind b(n, k) and second kind B(n, k), and the
-Lah numbers L(n, k), are module functions computing their factorial closed
-forms; their agreement with the matching generalized-Stirling
-specializations is checked by the identity suite rather than shared as one
-code path.  ``Triangles`` holds only the memoized recurrence tables.
+Lah numbers L(n, k), also have module functions computing their factorial
+closed forms.  The identity suite uses those as its references, so its
+checks do not rest on the recurrence they are compared with.
 
 Entries outside 0 <= k <= n are implicitly 0, with the (0, 0) = 1
 convention, so summation identities can run with free index ranges.
@@ -108,9 +114,19 @@ def lah(n: int, k: int) -> int:
     return factorial(n - 1) // factorial(k - 1) * binomial_int(n, k)
 
 
+# family: (a, b) of its recurrence
+RECURRENCES = {
+    "stirling1": (1, 0),
+    "stirling2": (0, 1),
+    "lah": (1, 1),
+    "bessel-b": (-2, 1),
+    "bessel-B": (-1, 2),
+}
+
+
 class Triangles:
-    """The memoized recurrence tables: Stirling numbers of both kinds and
-    generalized Stirling numbers.
+    """The memoized recurrence tables: the integral families of
+    ``RECURRENCES`` and generalized Stirling numbers.
 
     Generalized-Stirling tables are keyed by the exact rational pair
     (s, h); no cache sharing between parameter pairs that agree only up
@@ -118,8 +134,8 @@ class Triangles:
     """
 
     def __init__(self):
-        self._stirling1 = RecurrenceTriangle(1, 0)
-        self._stirling2 = RecurrenceTriangle(0, 1)
+        self._tables = {family: RecurrenceTriangle(a, b) for family, (a, b) in RECURRENCES.items()}
+        self._stirling1, self._stirling2 = self._tables["stirling1"], self._tables["stirling2"]
         self._gs: dict[tuple[Fraction, Fraction], RecurrenceTriangle] = {}
 
     def stirling1(self, n: int, k: int) -> int:
@@ -133,6 +149,14 @@ class Triangles:
     def stirling1_signed(self, n: int, k: int) -> int:
         v = self._stirling1.value(n, k)
         return -v if (n - k) % 2 else v
+
+    def rows(self, family: str, n: int) -> list[tuple[int, ...]]:
+        """Rows 0..n of a family in ``RECURRENCES`` or of "stirling1-signed";
+        row m holds T(m, 0..m)."""
+        if family == "stirling1-signed":
+            return [tuple(-v if (m - k) % 2 else v for k, v in enumerate(row))
+                    for m, row in enumerate(self.rows("stirling1", n))]
+        return self._tables[family].rows(n)[: n + 1]
 
     def gs_rows(self, s: Rational, h: Rational, n: int) -> list[tuple[Fraction, ...]]:
         """The sealed rows, at least rows 0..n, of the generalized Stirling

@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from stirbess import families, identities
+import stirbess
+from stirbess import families, identities, triangles
 from stirbess.cli import main
 from stirbess.identities import Identity
 
@@ -277,6 +281,20 @@ class TestValuesTooLargeToPrint:
         assert code == 0 and err == ""
         assert len(out.splitlines()) == 1 + 278
 
+    # the smallest n whose checked closed-form entry has more than 640 digits
+    @pytest.mark.parametrize(
+        "family, n", [("stirling1", 312), ("stirling1-signed", 312), ("lah", 311), ("bessel-b", 279), ("bessel-B", 555)]
+    )
+    def test_triangle_refused_before_it_is_built(self, capsys, monkeypatch, family, n):
+        def not_built(table, row):
+            raise AssertionError(f"built row {row}")
+
+        monkeypatch.setattr(triangles.RecurrenceTriangle, "rows", not_built)
+        for n_max in (n, 10**9):
+            self.assert_refused(*self.run_at_lowest_limit(capsys, "triangle", family, "--n", str(n_max)))
+        with pytest.raises(AssertionError, match="built row"):
+            self.run_at_lowest_limit(capsys, "triangle", family, "--n", str(n - 1))
+
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     def test_simulate(self, capsys, fmt):
         # the exact moment of order 60 at alpha = 0.3 has more than 640 digits
@@ -288,6 +306,31 @@ class TestValuesTooLargeToPrint:
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
         code, out, _ = run_cli(capsys, "triangle", "stirling2", "--n", "3", "--format", "csv")
         assert code == 0 and out.splitlines()[-1] == "3,3,1"
+
+
+def test_exact_commands_do_not_import_numpy():
+    # a fresh interpreter, since other tests import numpy into this one
+    code = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import stirbess.cli\n"
+        "assert 'numpy' not in sys.modules, 'import stirbess.cli'\n"
+        "from stirbess import identities, families, triangles\n"
+        "assert 'numpy' not in sys.modules, 'import identities, families, triangles'\n"
+        "for argv in ('triangle bessel-b --n 20 --format csv', 'poly pn --n 6 --format json',\n"
+        "             'verify --all --n-max 6 --jobs 1 --format json'):\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        assert stirbess.cli.main(argv.split()) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+        "assert 'concurrent.futures' not in sys.modules, 'the pools are imported only to start one'\n"
+        "import stirbess\n"
+        "assert stirbess.SimConfig and stirbess.estimate_moments and stirbess.SimResult\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    path = [str(Path(stirbess.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestParserBasics:

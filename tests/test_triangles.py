@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from stirbess.exactnum import factorial
 from stirbess.families import bessel_poly
 from stirbess.triangles import (
-    RecurrenceTriangle,
     Triangles,
     bessel_B,
     bessel_b,
@@ -177,16 +176,20 @@ class TestLah:
                 assert lah(n, k) == expected
 
 
-class TestClosedFormsAsRecurrences:
-    """Lah and both Bessel kinds satisfy T(n+1, k) = T(n, k-1) + (a*n + b*k) T(n, k)."""
+class TestRows:
+    """``Triangles.rows`` builds Lah and both Bessel kinds by their row
+    recurrences; the closed forms are the independent reference."""
 
     @pytest.mark.parametrize(
-        "a, b, closed_form", [(1, 1, lah), (-2, 1, bessel_b), (-1, 2, bessel_B)], ids=["lah", "bessel-b", "bessel-B"]
+        "family, entry",
+        [("lah", lah), ("bessel-b", bessel_b), ("bessel-B", bessel_B), ("stirling1-signed", stirling1_signed)],
+        ids=["lah", "bessel-b", "bessel-B", "stirling1-signed"],
     )
-    def test_rows_equal_closed_forms(self, a, b, closed_form):
-        rows = RecurrenceTriangle(a, b).rows(80)
-        for n in range(81):
-            assert list(rows[n]) == [closed_form(n, k) for k in range(n + 1)], n
+    def test_rows_equal_entries(self, family, entry):
+        rows = Triangles().rows(family, 80)
+        assert len(rows) == 81
+        for n, row in enumerate(rows):
+            assert list(row) == [entry(n, k) for k in range(n + 1)], n
 
 
 class TestGeneralizedStirling:
