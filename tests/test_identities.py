@@ -255,6 +255,25 @@ class TestMutationSensitivity:
             ]
             assert report.counterexample.params == min(failures) == first
 
+    def test_corrupted_fractional_gs_table_is_detected(self):
+        # GS(3/5, 5/2) is sss2's table at z = 2/3; its coefficients h*s = 3/2
+        # and h - h*s = 1 are not both integers
+        tables = Triangles()
+        tables.gs(Fraction(3, 5), Fraction(5, 2), 12, 0)  # force rows to exist
+        tri = tables._gs[(Fraction(3, 5), Fraction(5, 2))]
+        row = list(tri._rows[7])
+        row[4] = -row[4]
+        tri._rows[7] = tuple(row)
+        identity = REGISTRY["sss2"]
+        report = verify("sss2", 10, tables)
+        assert not report.passed
+        failures = [
+            params
+            for params in identity.cases(10)
+            if identity.evaluate(params, tables)[0] != identity.evaluate(params, tables)[1]
+        ]
+        assert report.counterexample.params == min(failures) == (7, 4, Fraction(2, 3))
+
 
 class TestSerialization:
     def test_json_round_trip_and_no_timing_by_default(self, capsys):
@@ -302,6 +321,41 @@ def test_gs_values_and_types_pinned():
         for params in REGISTRY[ident_id].cases(9)
     )
     assert hashlib.sha256(text.encode()).hexdigest() == GS_VALUES_SHA256
+
+
+# sha256 of the concatenated repr((lhs, rhs)) of every case at n_max = 12, per
+# identity, so a change to any compared value or its type fails here: the
+# UniPoly and BiPoly reprs carry each coefficient's type (int or Fraction)
+VALUES_SHA256 = {
+    "thm1": "a0a9f77f5377c7ba4d0f4cdbfe7c5a8207002d8956b0a1430a46f35b799fe256",
+    "thm2": "6b9dfb6caab9549c19361a1be9734d4c535ce668d7752e0827d1170b9ce5e477",
+    "inversion": "ac472b2dcc0c540f7bb57ee80711fa38c2a0a8bad796a32e31b4e4df72cc6be5",
+    "lah": "a97458e31171210fc566f7e81f49ee3e7ba4ed367dcdb3f02a2afa384e24aef7",
+    "duality": "8538345be1ce823cbab57da5c76837194dff516b73a0ae497fe9c35a804bae10",
+    "cross-bb": "5782720d63e29924210a36554fb56cd12bb787303fbc1a3688ce94680e71179a",
+    "gs-scaling": "368a736c36724caa04d1d81f0138711293ae7cb009810fb6832230661bf5bb1d",
+    "gs-special": "76981c2d3c410b5657469d620566c202fba56b0a0721347ba659eaf0dfa580d2",
+    "gs-composition": "2e5c86fdc3363313834d991e9a9e146422f9816ed0f17a07efc78a1faa9bb5b1",
+    "sss2": "8777a8e385fd1edcb1e4e6fd101c44dea3f9d384d84388819cf7efc60b141d37",
+    "lemma-keys": "5e7a402250553025d4d954d7b2792bd217fce6fb6c679cae50b2580df5f2a2a7",
+    "hagen-rothe": "0082698c6f361aacf80582d9bcb79f5c07538234fc6eed36d2300df485dab169",
+    "gould-3-120": "c747603c9cddda568db9bcf35edba8ad1cc838512077dc74f81431a8e8741529",
+    "moment-bessel": "041c6e3c6d4b357a56bac425929493d52288d5888ad65657dc28caacadf91eea",
+    "theta-b": "3efc103ef3f3b6acd49aa23dae242dc6ce7df5730d260a7ae7505b811cdfa23f",
+    "pn-closed": "510ad95a743dfc0a18c8f96e8e95e9c00b9438d2d1f12a2e716df9b0a135e1b1",
+    "pn-special-z": "780674413545d18848e58aefcf15c0f2ff96737c0d14bb6a69b4bf1d43ad0e84",
+    "rising-factorial": "422bff2fd9cf56676107c48d2f4499182a7ec802a73e0aedf95c2da4afbc96c6",
+    "falling-factorial": "b841a0b52c77d6cb8a069d0562003ccf7c0f2ceed84ea257c369443192c72999",
+    "bessel-b-coeff": "a0a9f77f5377c7ba4d0f4cdbfe7c5a8207002d8956b0a1430a46f35b799fe256",
+}
+
+
+@pytest.mark.parametrize("ident_id", IDENTITY_IDS)
+def test_values_and_types_pinned(ident_id):
+    identity = REGISTRY[ident_id]
+    tables = Triangles()
+    text = "".join(repr(identity.evaluate(params, tables)) for params in identity.cases(12))
+    assert hashlib.sha256(text.encode()).hexdigest() == VALUES_SHA256[ident_id]
 
 
 # sha256 of repr(list(cases(n))) + describe_range(n) at n = 1 and 9, so any

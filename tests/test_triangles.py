@@ -213,6 +213,22 @@ class TestGeneralizedStirling:
             for k in range(0, n + 1):
                 assert gs(-1, 1, n, k) == bessel_B(n, k)
 
+    @pytest.mark.parametrize(
+        "s, h",
+        [(Fraction(1, 3), Fraction(-2, 7)), (Fraction(5, 2), Fraction(3)),
+         (Fraction(-1, 2), Fraction(1, 2)), (Fraction(3, 5), Fraction(5, 2))],
+    )
+    def test_rows_equal_fraction_recurrence(self, s, h):
+        # GS(n+1, k) = GS(n, k-1) + h*(k + s*(n - k)) GS(n, k), in Fractions
+        expected = [[Fraction(1)]]
+        for n in range(30):
+            prev = expected[-1] + [Fraction(0)]
+            expected.append([(prev[k - 1] if k else 0) + h * (k + s * (n - k)) * prev[k] for k in range(n + 2)])
+        rows = Triangles().gs_rows(s, h, 30)
+        for n in range(31):
+            assert list(rows[n]) == expected[n], n
+            assert all(type(v) is Fraction for v in rows[n]), n
+
     def test_values_are_exact_rationals(self):
         v = gs(Fraction(1, 3), Fraction(-2, 7), 6, 2)
         assert isinstance(v, Fraction)
