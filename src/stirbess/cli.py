@@ -192,7 +192,7 @@ def _cmd_triangle(args) -> int | _Output:
     if entry and n_max and limit and _too_long_to_print([entry(min(n_max, 2 * limit))]):
         return _too_long_error()
     if args.family == "gs":
-        rows = triangles.DEFAULT.gs_rows(args.s, args.h, n_max)[: n_max + 1]
+        rows = triangles.DEFAULT.gs_rows(args.s, args.h, n_max)
     else:
         rows = triangles.DEFAULT.rows(args.family, n_max)
 
@@ -263,11 +263,14 @@ def _cmd_poly(args) -> int | _Output:
         return _usage_error("--z applies only to pn variants")
     if args.n < 0:
         return _usage_error("--n must be nonnegative")
-    if args.which in ("bessel-y", "bessel-theta"):
+    limit = sys.get_int_max_str_digits()
+    if args.which in ("bessel-y", "bessel-theta") and limit:
         # the largest coefficient of y_n and of theta_n is (2n)!/(2^n n!), so
-        # checking it alone refuses an unprintable --n before any work
-        largest = math.factorial(2 * args.n) // (math.factorial(args.n) << args.n)
-        if _too_long_to_print([largest]):
+        # checking it alone refuses an unprintable --n before any work; it
+        # grows with n and has more than `limit` digits by n = limit, so even
+        # a huge --n is refused at once
+        m = min(args.n, limit)
+        if _too_long_to_print([math.factorial(2 * m) // (math.factorial(m) << m)]):
             return _too_long_error()
     poly = {
         "bessel-y": families.bessel_poly,

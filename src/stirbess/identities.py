@@ -71,7 +71,8 @@ def _grid(n_from: int, k_from: int | None, *axes: Sequence):
 
 def _s1s2_sum(t: Triangles, n: int, k: int, weight: Callable):
     """The paper's sum: sum_i s1(n,i) s2(i,k) weight(i)."""
-    return sum(t.stirling1(n, i) * t.stirling2(i, k) * weight(i) for i in range(k, n + 1))
+    s1, s2 = t.rows("stirling1", n)[n], t.rows("stirling2", n)
+    return sum(s1[i] * s2[i][k] * weight(i) for i in range(k, n + 1))
 
 
 def _sign(e: int, v):
@@ -151,7 +152,9 @@ _GS_SPECIAL = {
 
 def _gs_scaling_eval(params, t):
     n, k, a, s = params
-    return t.gs(s, a, n, k), a ** (n - k) * t.gs(s, 1, n, k)
+    d, rows = t.gs_table(s, 1, n)
+    rhs = Fraction(a.numerator ** (n - k) * rows[n][k], (a.denominator * d) ** (n - k))
+    return t.gs(s, a, n, k), rhs
 
 
 def _gs_special_eval(params, t):
@@ -172,12 +175,21 @@ def gs_composition_identity(triples: Sequence[tuple]) -> Identity:
         if nu == sigma:
             raise ValueError("composition triple requires nu != sigma (inner parameter)")
 
+    # triple: the (s, h) of its left, inner and outer tables
+    gs_keys = {
+        (s, nu, sigma): ((s / nu, nu), (s / (nu - sigma), nu - sigma), ((s + sigma - nu) / sigma, sigma))
+        for s, nu, sigma in norm
+    }
+
     def evaluate(params, t):
-        n, k, (s, nu, sigma) = params
-        lhs = t.gs_rows(s / nu, nu, n)[n][k]
-        inner = t.gs_rows(s / (nu - sigma), nu - sigma, n)[n]
-        outer = t.gs_rows((s + sigma - nu) / sigma, sigma, n)
-        return lhs, sum(inner[i] * outer[i][k] for i in range(k, n + 1))
+        n, k, triple = params
+        left_key, inner_key, outer_key = gs_keys[triple]
+        d2, inner = t.gs_table(*inner_key, n)
+        d3, outer = t.gs_table(*outer_key, n)
+        inner = inner[n]
+        # GS2(n,i) GS3(i,k) = inner[i] outer[i][k] / (d2^(n-i) d3^(i-k)), over d2^n d3^(n-k)
+        num = sum(inner[i] * outer[i][k] * d2**i * d3 ** (n - i) for i in range(k, n + 1))
+        return t.gs(*left_key, n, k), Fraction(num, d2**n * d3 ** (n - k))
 
     return Identity(
         ident="gs-composition",
@@ -195,11 +207,15 @@ def sss2_identity(z_values: Sequence) -> Identity:
         if z == 0 or z == -1:
             raise ValueError("z must avoid 0 and -1")
 
+    # z: the (s, h) of its table
+    gs_keys = {z: (1 / (z + 1), (z + 1) / z) for z in zs}
+
     def evaluate(params, t):
         n, k, z = params
         p, q = z.numerator, z.denominator  # z^i = p^i q^(n-i) / q^n: one integer sum
         lhs = Fraction(_s1s2_sum(t, n, k, lambda i: p**i * q ** (n - i)), q**n)
-        return lhs, z**n * t.gs(1 / (z + 1), (z + 1) / z, n, k)
+        d, rows = t.gs_table(*gs_keys[z], n)
+        return lhs, Fraction(p**n * rows[n][k], q**n * d ** (n - k))
 
     return Identity(
         ident="sss2",
@@ -284,15 +300,14 @@ def _lemma_keys_cases(n_max: int):
 def _lemma_keys_eval(params, t):
     if params[0] == "a":
         _, n, j, i = params
-        lhs = t.stirling1(n + 1, n - j + i + 1) * binomial_int(n - j + i, i - 1)
-        rhs = sum(
-            t.stirling1(k, i) * t.stirling1(n - k + 1, n - j + 1) * binomial_int(n, k - 1)
-            for k in range(i, j + 1)
-        )
+        s1 = t.rows("stirling1", n + 1)
+        lhs = s1[n + 1][n - j + i + 1] * binomial_int(n - j + i, i - 1)
+        rhs = sum(s1[k][i] * s1[n - k + 1][n - j + 1] * binomial_int(n, k - 1) for k in range(i, j + 1))
     else:
         _, k, j = params
-        lhs = sum(t.stirling2(i, j) * binomial_int(k, i - 1) for i in range(j, k + 1))
-        rhs = j * t.stirling2(k + 1, j + 1)
+        s2 = t.rows("stirling2", k + 1)
+        lhs = sum(s2[i][j] * binomial_int(k, i - 1) for i in range(j, k + 1))
+        rhs = j * s2[k + 1][j + 1]
     return lhs, rhs
 
 

@@ -12,6 +12,7 @@ it has no addition.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -218,14 +219,27 @@ class BiPoly:
         return BiPoly(d)
 
     def substitute_z(self, z0: Rational) -> UniPoly:
-        """Evaluate the z variable, leaving a univariate polynomial in x."""
-        powers = [1]
-        for _ in range(self.degree_z):
-            powers.append(powers[-1] * z0)
-        out = [0] * (self.degree_x + 1)
+        """Evaluate the z variable, leaving a univariate polynomial in x.
+
+        With z0 = p/q, d = degree_z and L the lcm of the coefficients'
+        denominators, each x power sums c * z0^j in integers as
+        (L c) * p^j q^(d-j) over L q^d, and is made one ``Fraction``.  A
+        power stays ``int`` when every term at it is an int coefficient
+        times an int power of z0, as the term-by-term sum would give.
+        """
+        d = max(self.degree_z, 0)
+        p, q = z0.numerator, z0.denominator
+        zq = [p**j * q ** (d - j) for j in range(d + 1)]  # q^d z0^j
+        den = math.lcm(*(c.denominator for c in self._terms.values()))
+        num = [0] * (self.degree_x + 1)
+        is_int = [True] * (self.degree_x + 1)
+        z_int = isinstance(z0, int)
         for (i, j), c in self._terms.items():
-            out[i] += c * powers[j]
-        return UniPoly(out)
+            num[i] += c.numerator * (den // c.denominator) * zq[j]
+            if not isinstance(c, int) or (j and not z_int):
+                is_int[i] = False
+        scale = den * q**d
+        return UniPoly(v // scale if whole else Fraction(v, scale) for v, whole in zip(num, is_int))
 
     def __call__(self, x0: Rational, z0: Rational) -> Rational:
         return self.substitute_z(z0)(x0)

@@ -15,13 +15,20 @@ with delta initial conditions T(n, 0) = [n == 0], T(0, k) = [k == 0], and
     (a, b) = (h*s, h - h*s)      generalized Stirling with parameters (s, h),
                                  whose coefficient is h*(k + s*(n - k))
 
-A ``RecurrenceTriangle`` holds (a, b) and its rows.  ``Triangles`` holds one
-for each integral family in ``RECURRENCES`` and returns their rows with
+A ``RecurrenceTriangle`` holds (a, b) and its rows, always in integers: with
+D the lcm of the denominators of a and b (its ``scale``; 1 for the integral
+families), row n holds D^(n-k) T(n, k), which satisfies
+
+    D^(n+1-k) T(n+1, k) = D^(n-(k-1)) T(n, k-1) + (D*a*n + D*b*k) * D^(n-k) T(n, k),
+
+a recurrence with integer coefficients.  ``Triangles`` holds one for each
+integral family in ``RECURRENCES`` and returns their rows with
 ``Triangles.rows``; the signed Stirling numbers of the first kind are the
-unsigned ones with the sign (-1)^(n-k).  Generalized-Stirling rows start
-from ``Fraction(1)``, so they are ``Fraction`` when built;
-``Triangles.gs_rows`` returns them for summing and ``Triangles.gs`` indexes
-them.
+unsigned ones with the sign (-1)^(n-k).  It holds one more per
+generalized-Stirling pair (s, h): ``Triangles.gs_table`` returns D and the
+integer rows for exact sums over a common denominator, and
+``Triangles.gs_rows`` and ``Triangles.gs`` give ``Fraction`` views of them,
+GS(n, k) = Fraction(row n [k], D^(n-k)).
 
 Bessel numbers of the first kind b(n, k) and second kind B(n, k), and the
 Lah numbers L(n, k), also have module functions computing their factorial
@@ -35,6 +42,7 @@ Rows are sealed as tuples when built.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exactnum import binomial_int, factorial
@@ -42,14 +50,19 @@ from .polys import Rational
 
 
 class RecurrenceTriangle:
-    """Memoized rows of T(n+1, k) = T(n, k-1) + (a*n + b*k) * T(n, k), T(0, 0) = one."""
+    """Memoized integer rows of T(n+1, k) = T(n, k-1) + (a*n + b*k) * T(n, k),
+    T(0, 0) = 1, for rational a and b: with D = ``scale``, the lcm of their
+    denominators, row n holds D^(n-k) T(n, k)."""
 
-    def __init__(self, a: Rational, b: Rational, one: Rational = 1):
-        self._a, self._b = a, b
-        self._rows: list[tuple] = [(one,)]
+    def __init__(self, a: Rational, b: Rational):
+        a, b = Fraction(a), Fraction(b)
+        self.scale = math.lcm(a.denominator, b.denominator)
+        self._a, self._b = (a * self.scale).numerator, (b * self.scale).numerator
+        self._rows: list[tuple[int, ...]] = [(1,)]
 
-    def rows(self, n: int) -> list[tuple]:
-        """The sealed rows, at least rows 0..n; row m holds T(m, 0..m)."""
+    def rows(self, n: int) -> list[tuple[int, ...]]:
+        """The sealed rows, at least rows 0..n; row m holds D^(m-k) T(m, k)
+        for k = 0..m."""
         if n < 0:
             raise ValueError("row index must be nonnegative")
         a, b = self._a, self._b
@@ -60,7 +73,8 @@ class RecurrenceTriangle:
             self._rows.append((am * prev[0], *middle, prev[-1]))
         return self._rows
 
-    def value(self, n: int, k: int):
+    def value(self, n: int, k: int) -> int:
+        """Entry (n, k) of the integer rows, 0 outside 0 <= k <= n."""
         row = self.rows(n)[n]
         return row[k] if 0 <= k <= n else 0
 
@@ -136,7 +150,7 @@ class Triangles:
     def __init__(self):
         self._tables = {family: RecurrenceTriangle(a, b) for family, (a, b) in RECURRENCES.items()}
         self._stirling1, self._stirling2 = self._tables["stirling1"], self._tables["stirling2"]
-        self._gs: dict[tuple[Fraction, Fraction], RecurrenceTriangle] = {}
+        self._gs: dict[tuple[Rational, Rational], RecurrenceTriangle] = {}
 
     def stirling1(self, n: int, k: int) -> int:
         """Unsigned Stirling number of the first kind (cycle counts)."""
@@ -158,21 +172,30 @@ class Triangles:
                     for m, row in enumerate(self.rows("stirling1", n))]
         return self._tables[family].rows(n)[: n + 1]
 
-    def gs_rows(self, s: Rational, h: Rational, n: int) -> list[tuple[Fraction, ...]]:
-        """The sealed rows, at least rows 0..n, of the generalized Stirling
-        table with parameters (s, h), h != 0; row m holds GS(m, 0..m)."""
-        s, h = Fraction(s), Fraction(h)
-        if h == 0:
-            raise ValueError("parameter h must be nonzero")
+    def gs_table(self, s: Rational, h: Rational, n: int) -> tuple[int, list[tuple[int, ...]]]:
+        """(D, rows) of the generalized Stirling table with parameters (s, h),
+        h != 0: the sealed integer rows, at least rows 0..n, where row m holds
+        D^(m-k) GS(m, k) for k = 0..m."""
+        # keyed by the values as passed: equal ints, Fractions and floats hash
+        # alike, and a caller passing the same objects again skips __eq__
         table = self._gs.get((s, h))
         if table is None:
-            table = self._gs[s, h] = RecurrenceTriangle(h * s, h - h * s, Fraction(1))
-        return table.rows(n)
+            fs, fh = Fraction(s), Fraction(h)
+            if fh == 0:
+                raise ValueError("parameter h must be nonzero")
+            table = self._gs[s, h] = RecurrenceTriangle(fh * fs, fh - fh * fs)
+        return table.scale, table.rows(n)
+
+    def gs_rows(self, s: Rational, h: Rational, n: int) -> list[tuple[Fraction, ...]]:
+        """Rows 0..n of the generalized Stirling table with parameters (s, h),
+        h != 0, as ``Fraction``; row m holds GS(m, 0..m)."""
+        d, rows = self.gs_table(s, h, n)
+        return [tuple(Fraction(v, d ** (m - k)) for k, v in enumerate(row)) for m, row in enumerate(rows[: n + 1])]
 
     def gs(self, s: Rational, h: Rational, n: int, k: int) -> Fraction:
         """Generalized Stirling number with parameters (s, h), h != 0."""
-        row = self.gs_rows(s, h, n)[n]
-        return row[k] if 0 <= k <= n else Fraction(0)
+        d, rows = self.gs_table(s, h, n)
+        return Fraction(rows[n][k], d ** (n - k)) if 0 <= k <= n else Fraction(0)
 
 
 DEFAULT = Triangles()

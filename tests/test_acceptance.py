@@ -70,10 +70,10 @@ def test_c5_supporting_identities():
         verify("lah", 40),
         verify("duality", 40),
         verify("cross-bb", 40),
-        verify("gs-scaling", 20),
+        verify("gs-scaling", 40),
         verify("gs-special", 25),
         verify("gs-composition", 40),
-        verify("sss2", 20),
+        verify("sss2", 40),
         verify("lemma-keys", 20),
         verify("hagen-rothe", 1),
         verify("gould-3-120", 40),

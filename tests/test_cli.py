@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -275,6 +276,17 @@ class TestValuesTooLargeToPrint:
         self.assert_refused(*run_cli(capsys, "poly", which, "--n", "1450"))
 
     @pytest.mark.parametrize("which", ["bessel-y", "bessel-theta"])
+    def test_bessel_huge_n_refused_at_once(self, capsys, monkeypatch, which):
+        def not_built(n):
+            raise AssertionError(f"built degree {n} only to refuse it")
+
+        monkeypatch.setattr(families, "bessel_poly", not_built)
+        monkeypatch.setattr(families, "reverse_bessel_poly", not_built)
+        start = time.perf_counter()
+        self.assert_refused(*self.run_at_lowest_limit(capsys, "poly", which, "--n", "2000000"))
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("which", ["bessel-y", "bessel-theta"])
     def test_bessel_largest_printable_n(self, capsys, which):
         # 640 digits at n = 277: the early check lets it through and every coefficient prints
         code, out, err = self.run_at_lowest_limit(capsys, "poly", which, "--n", "277", "--format", "csv")
@@ -306,6 +318,8 @@ class TestValuesTooLargeToPrint:
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
         code, out, _ = run_cli(capsys, "triangle", "stirling2", "--n", "3", "--format", "csv")
         assert code == 0 and out.splitlines()[-1] == "3,3,1"
+        code, out, _ = run_cli(capsys, "poly", "bessel-y", "--n", "3", "--format", "csv")
+        assert code == 0 and out.splitlines()[-1] == "3,15"
 
 
 def test_exact_commands_do_not_import_numpy():
