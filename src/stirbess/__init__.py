@@ -40,7 +40,7 @@ from .triangles import (
 
 __version__ = "0.1.0"
 
-_OCCUPATION = ("SimConfig", "SimResult", "estimate_moments")
+_OCCUPATION = ("SimConfig", "SimResult", "estimate_moments", "estimate_moments_at")
 
 
 def __getattr__(name: str):
@@ -66,6 +66,7 @@ __all__ = [
     "binomial_rat",
     "chebyshev_t",
     "estimate_moments",
+    "estimate_moments_at",
     "factorial",
     "falling_factorial_poly",
     "gs",

@@ -158,15 +158,18 @@ def _emit(fmt: str, out: _Output) -> None:
 # ---------------------------------------------------------------------------
 # triangle
 
-# One entry of row n of each family that has a closed form for it: when that
-# entry is too long to print, so is the row, and --n is refused before any row
-# is built.  stirling2 and gs are checked only once built.
+# One entry of row n of each family that has a closed form for it, and a
+# multiple c such that the entry has more than `limit` digits by n = c * limit
+# (limit >= 640).  When that entry is too long to print, so is the row, and
+# --n is refused before any row is built; only row min(n, c * limit) is
+# checked, so even a huge --n is refused at once.  gs is checked only once built.
 _ROW_ENTRY = {
-    "stirling1": lambda n: math.factorial(n - 1),  # s(n, 1)
-    "stirling1-signed": lambda n: math.factorial(n - 1),
-    "lah": lambda n: triangles.lah(n, 1),  # n!
-    "bessel-b": lambda n: triangles.bessel_b(n, 1),  # (2n-2)!/(2^(n-1) (n-1)!)
-    "bessel-B": lambda n: triangles.bessel_B(n, (n + 1) // 2),
+    "stirling1": (lambda n: math.factorial(n - 1), 2),  # s(n, 1)
+    "stirling1-signed": (lambda n: math.factorial(n - 1), 2),
+    "stirling2": (lambda n: 2 ** (n - 1) - 1, 4),  # S(n, 2): more than `limit` digits by n = 3.33 limit
+    "lah": (lambda n: triangles.lah(n, 1), 2),  # n!
+    "bessel-b": (lambda n: triangles.bessel_b(n, 1), 2),  # (2n-2)!/(2^(n-1) (n-1)!)
+    "bessel-B": (lambda n: triangles.bessel_B(n, (n + 1) // 2), 2),
 }
 
 
@@ -185,12 +188,11 @@ def _cmd_triangle(args) -> int | _Output:
     n_max = args.n_max
     if n_max < 0:
         return _usage_error("--n must be nonnegative")
-    entry = _ROW_ENTRY.get(args.family)
     limit = sys.get_int_max_str_digits()
-    # each entry grows with n and has more than `limit` digits by n = 2 * limit
-    # (limit >= 640), so even a huge --n is refused at once
-    if entry and n_max and limit and _too_long_to_print([entry(min(n_max, 2 * limit))]):
-        return _too_long_error()
+    if args.family in _ROW_ENTRY and n_max and limit:
+        entry, c = _ROW_ENTRY[args.family]
+        if _too_long_to_print([entry(min(n_max, c * limit))]):
+            return _too_long_error()
     if args.family == "gs":
         rows = triangles.DEFAULT.gs_rows(args.s, args.h, n_max)
     else:
@@ -413,10 +415,8 @@ def _cmd_simulate(args) -> int | _Output:
             raise ValueError("--t must lie in (0, 1]")
     except ValueError as exc:
         return _usage_error(str(exc))
-    results = [occupation.estimate_moments(config, jobs=jobs)]
     with_t = args.t is not None
-    if with_t:
-        results.append(occupation.estimate_moments(config, args.t, jobs))
+    results = occupation.estimate_moments_at(config, (1, args.t) if with_t else (1,), jobs)
     z_values = [abs(m.z_score) for r in results for m in r.moments if m.z_score is not None]
     return _Output(
         0 if all(z < 5.0 for z in z_values) else 1,

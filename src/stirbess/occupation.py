@@ -32,6 +32,11 @@ walk of N steps takes about sqrt(N) rounds.  Only uniforms are drawn
 (W = sin^2(pi u / 2), T by inversion), so no numpy sampling algorithm
 enters the output; the draw order is round-major, not step-major.
 
+One walk serves every time horizon: the walk runs to the latest horizon,
+and the count at an earlier horizon h is read from the same excursions, each
+cut at h.  So A_t and A_1 of ``simulate --t`` come from the same paths, and
+the count at the latest horizon does not depend on which others are asked.
+
 Determinism: paths are partitioned into fixed blocks of ``BATCH_PATHS``;
 block b draws from a counter-based Philox stream keyed by (seed, b), and
 moment accumulation is exact integer arithmetic on the per-path lattice
@@ -44,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -61,6 +67,10 @@ BATCH_PATHS = 32768
 ROUND_OVERHEAD_PATHS = 1000
 MAX_PATH_ROUNDS = 2 * 10**9
 MAX_PATHS = 2**25
+# The exact references P_n(alpha, -1/2) at the float alpha and the power sums
+# up to order 2n grow in digits with n, and building all n of them costs about
+# n^3: a whole run at --moments 200 takes 1.2 s, at 400 over 6 s.
+MAX_MOMENT = 100
 
 
 @dataclass(frozen=True)
@@ -94,8 +104,8 @@ class SimConfig:
                 f"isqrt(steps) * (paths + {ROUND_OVERHEAD_PATHS}) must be at most {MAX_PATH_ROUNDS}, "
                 "about a minute of walk kernel work"
             )
-        if self.max_moment < 1:
-            raise ValueError("max_moment must be positive")
+        if not 1 <= self.max_moment <= MAX_MOMENT:
+            raise ValueError(f"max_moment must lie between 1 and {MAX_MOMENT}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
@@ -121,16 +131,24 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, block]))
 
 
-def _walk_counts(alpha: float, intervals: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Occupation counts over the first ``intervals`` unit intervals for
-    ``size`` paths driven by one stream, one excursion per path per round.
+def _walk_counts(alpha: float, horizons: tuple[int, ...], size: int, rng: np.random.Generator) -> np.ndarray:
+    """Occupation counts of ``size`` paths driven by one stream, one row per
+    horizon: row i counts the nonnegative intervals among the first
+    ``horizons[i]``.  One walk serves every horizon.
+
+    ``horizons`` is sorted.  The walk runs to the last (largest) horizon, one
+    excursion per unfinished path per round; an excursion that starts at
+    position pos and spans ``span`` intervals adds clip(h - pos, 0, span) to
+    the row of each smaller horizon h, and all of ``span`` to the last row.
 
     Each round draws three uniforms per unfinished path (round-major, then
     uniform kind, then path): u gives W = sin^2(pi u / 2) ~ Beta(1/2, 1/2),
     v the geometric half-length T = ceil(log(1 - v) / log(1 - W)) >= 1,
     and the sign draw is positive iff it is below alpha.
     """
-    occ = np.zeros(size, dtype=np.int64)
+    *inner, intervals = horizons
+    occ = np.zeros((len(horizons), size), dtype=np.int64)
+    *inner_rows, last = occ  # 1-D row views: occ[-1, idx] += ... costs about 10 % more
     idx = np.arange(size)
     left = np.full(size, float(intervals))
     while idx.size:
@@ -140,32 +158,36 @@ def _walk_counts(alpha: float, intervals: int, size: int, rng: np.random.Generat
         # Sibuya(1/2) has infinite mean, so clip while still a float; fmin
         # also sends the NaN of u = v = 0 (W = 0, so T is infinite) to the clip
         span = np.minimum(2.0 * np.maximum(np.ceil(np.fmin(half, left)), 1.0), left)
-        occ[idx] += (span * (sign < alpha)).astype(np.int64)
+        positive = sign < alpha
+        for row, h in zip(inner_rows, inner):
+            row[idx] += (np.clip(h - (intervals - left), 0.0, span) * positive).astype(np.int64)
+        last[idx] += (span * positive).astype(np.int64)
         left -= span
         keep = left > 0
         idx, left = idx[keep], left[keep]
     return occ
 
 
-def _block_counts(alpha: float, intervals: int, size: int, seed: int, block: int) -> np.ndarray:
-    return _walk_counts(alpha, intervals, size, _block_rng(seed, block))
+def _block_counts(alpha: float, horizons: tuple[int, ...], size: int, seed: int, block: int) -> np.ndarray:
+    return _walk_counts(alpha, horizons, size, _block_rng(seed, block))
 
 
-def path_occupation_counts(
-    config: SimConfig, time_fraction: Rational = 1, jobs: int = 1
-) -> np.ndarray:
-    """Per-path lattice occupation counts over the first
-    floor(time_fraction * steps) intervals, in path order."""
+def _intervals(config: SimConfig, time_fraction: Rational) -> int:
     t = Fraction(time_fraction)
     if not 0 < t <= 1:
         raise ValueError("time fraction must lie in (0, 1]")
-    intervals = math.floor(t * config.steps)
+    return math.floor(t * config.steps)
+
+
+def _horizon_counts(config: SimConfig, horizons: tuple[int, ...], jobs: int) -> np.ndarray:
+    """Per-path counts for each of the sorted ``horizons``, one row each, in
+    path order, from one walk per block."""
     blocks = []
     start = 0
     b = 0
     while start < config.paths:
         size = min(BATCH_PATHS, config.paths - start)
-        blocks.append((config.alpha, intervals, size, config.seed, b))
+        blocks.append((config.alpha, horizons, size, config.seed, b))
         start += size
         b += 1
     if jobs > 1 and len(blocks) > 1:
@@ -175,7 +197,15 @@ def path_occupation_counts(
             parts = list(pool.map(_block_counts, *zip(*blocks)))
     else:
         parts = [_block_counts(*blk) for blk in blocks]
-    return np.concatenate(parts)
+    return np.concatenate(parts, axis=1)
+
+
+def path_occupation_counts(
+    config: SimConfig, time_fraction: Rational = 1, jobs: int = 1
+) -> np.ndarray:
+    """Per-path lattice occupation counts over the first
+    floor(time_fraction * steps) intervals, in path order."""
+    return _horizon_counts(config, (_intervals(config, time_fraction),), jobs)[0]
 
 
 def _summarize(counts: np.ndarray, config: SimConfig, t: Fraction) -> SimResult:
@@ -218,6 +248,14 @@ def estimate_moments(config: SimConfig, t: Rational = 1, jobs: int = 1) -> SimRe
     """Empirical moments E[A_t^n] for n = 1..max_moment, each path truncated
     at fraction t of its steps, against the exact references t^n P_n(alpha, -1/2),
     with standard errors and z-scores."""
-    t = Fraction(t)
-    counts = path_occupation_counts(config, t, jobs)
-    return _summarize(counts, config, t)
+    return estimate_moments_at(config, (t,), jobs)[0]
+
+
+def estimate_moments_at(config: SimConfig, times: Sequence[Rational], jobs: int = 1) -> tuple[SimResult, ...]:
+    """``estimate_moments`` at each time fraction in ``times``, in that order,
+    all read from one walk of the paths up to the latest of them."""
+    fractions = [Fraction(t) for t in times]
+    intervals = [_intervals(config, t) for t in fractions]
+    horizons = tuple(sorted(set(intervals)))
+    counts = _horizon_counts(config, horizons, jobs)
+    return tuple(_summarize(counts[horizons.index(i)], config, t) for i, t in zip(intervals, fractions))

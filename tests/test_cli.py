@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import stirbess
-from stirbess import families, identities, triangles
+from stirbess import cli, families, identities, triangles
 from stirbess.cli import main
 from stirbess.identities import Identity
 
@@ -189,6 +189,23 @@ class TestSimulate:
         )
         assert code == 2 and out == "" and message in err
 
+    def test_huge_moments_refused_at_once(self, capsys, monkeypatch):
+        from stirbess import occupation
+
+        def not_run(*args):
+            raise AssertionError("walked or built a reference only to refuse the run")
+
+        monkeypatch.setattr(occupation, "_walk_counts", not_run)
+        monkeypatch.setattr(occupation, "pn_skew_bm", not_run)
+        start = time.perf_counter()
+        for moments in ("101", "100000"):
+            code, out, err = run_cli(
+                capsys, "simulate", "--alpha", "0.3", "--steps", "10", "--paths", "10", "--moments", moments,
+                "--jobs", "1",
+            )
+            assert code == 2 and out == "" and "max_moment" in err
+        assert time.perf_counter() - start < 2.0
+
     def test_t_out_of_range(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--alpha", "0.5", "--t", "0", "--steps", "10", "--paths", "10")
         assert code == 2
@@ -295,7 +312,9 @@ class TestValuesTooLargeToPrint:
 
     # the smallest n whose checked closed-form entry has more than 640 digits
     @pytest.mark.parametrize(
-        "family, n", [("stirling1", 312), ("stirling1-signed", 312), ("lah", 311), ("bessel-b", 279), ("bessel-B", 555)]
+        "family, n",
+        [("stirling1", 312), ("stirling1-signed", 312), ("stirling2", 2128), ("lah", 311), ("bessel-b", 279),
+         ("bessel-B", 555)],
     )
     def test_triangle_refused_before_it_is_built(self, capsys, monkeypatch, family, n):
         def not_built(table, row):
@@ -306,6 +325,17 @@ class TestValuesTooLargeToPrint:
             self.assert_refused(*self.run_at_lowest_limit(capsys, "triangle", family, "--n", str(n_max)))
         with pytest.raises(AssertionError, match="built row"):
             self.run_at_lowest_limit(capsys, "triangle", family, "--n", str(n - 1))
+
+    @pytest.mark.parametrize("family", sorted(cli._ROW_ENTRY))
+    def test_triangle_huge_n_refused_at_once(self, capsys, monkeypatch, family):
+        def not_built(table, row):
+            raise AssertionError(f"built row {row}")
+
+        monkeypatch.setattr(triangles.RecurrenceTriangle, "rows", not_built)
+        start = time.perf_counter()
+        self.assert_refused(*run_cli(capsys, "triangle", family, "--n", "100000", "--format", "csv"))
+        self.assert_refused(*self.run_at_lowest_limit(capsys, "triangle", family, "--n", "2000000"))
+        assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     def test_simulate(self, capsys, fmt):
@@ -338,7 +368,8 @@ def test_exact_commands_do_not_import_numpy():
         "    assert 'numpy' not in sys.modules, argv\n"
         "assert 'concurrent.futures' not in sys.modules, 'the pools are imported only to start one'\n"
         "import stirbess\n"
-        "assert stirbess.SimConfig and stirbess.estimate_moments and stirbess.SimResult\n"
+        "assert stirbess.SimConfig and stirbess.estimate_moments and stirbess.estimate_moments_at\n"
+        "assert stirbess.SimResult\n"
         "assert 'numpy' in sys.modules\n"
     )
     path = [str(Path(stirbess.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
@@ -407,9 +438,9 @@ GOLDEN_SHA256 = {
     _SIM + " --format table": "9792d62424388a6f853324e179e84bb5e3850d1070b26d0b354419adc8a7cf39",
     _SIM + " --format json": "c1c8da571b7044e73ee7ad7e974e951295507d00bfa7360d57798d7a4e504d6a",
     _SIM + " --format csv": "904ca166216962e07d760ea4210cccb00f256601c355b4e92020d3f612622c18",
-    _SIM + " --t 1/2 --format table": "ea87aac87e567ea586ef1273d7f0920415baef34f8c6b38ac720f4ec201c02bf",
-    _SIM + " --t 1/2 --format json": "2b3980ec6fb3e0200b54c2c6684e596738f123555a3f826dbea546927628c014",
-    _SIM + " --t 1/2 --format csv": "74cab741c76af4a9158ffeaf3a2285d270d0cf7cbbdfae261822e618e092ab0c",
+    _SIM + " --t 1/2 --format table": "70a746e41bd45a06d18972f9e3fbce97a26536f43acaa1ea8cd4c9e424db62fb",
+    _SIM + " --t 1/2 --format json": "661d8af5d49793ca4b9bd110f1ba393f82000c020fd6cb01261a91f3ef7ec2a6",
+    _SIM + " --t 1/2 --format csv": "54b0ece831eb3fffe105ee9a28c8ebed93a87b70c2ef74837a8f2df6db789ad3",
 }
 
 

@@ -9,8 +9,10 @@ import pytest
 from stirbess.cli import main
 from stirbess.occupation import (
     SimConfig,
+    _horizon_counts,
     _walk_counts,
     estimate_moments,
+    estimate_moments_at,
     path_occupation_counts,
 )
 
@@ -31,6 +33,7 @@ class TestSimConfig:
             dict(max_moment=0),
             dict(seed=-1),
             dict(seed=2**64),
+            dict(max_moment=101),  # the exact references cost about n^3 to build
         ],
     )
     def test_invalid(self, kwargs):
@@ -46,10 +49,16 @@ class TestSimConfig:
             SimConfig(alpha=0.5, steps=10**8, paths=199_001, max_moment=1, seed=1)
         SimConfig(alpha=0.5, steps=1, paths=2**25, max_moment=1, seed=1)
 
+    def test_moment_limit_is_inclusive(self):
+        SimConfig(alpha=0.5, steps=10, paths=10, max_moment=100, seed=1)
+        with pytest.raises(ValueError, match="max_moment"):
+            SimConfig(alpha=0.5, steps=10, paths=10, max_moment=101, seed=1)
 
-def _exact_count_pmf(alpha: float, steps: int) -> list[Fraction]:
-    """Exact law of the occupation count after ``steps`` intervals, by DP
-    over (position, count).
+
+def _exact_joint_law(alpha: float, inner: int, steps: int) -> dict[tuple[int, int], Fraction]:
+    """Exact joint law of the occupation counts after ``inner`` and after
+    ``steps`` intervals of one walk, by DP over (position, count at
+    ``inner``, count at ``steps``).
 
     Weights are integers over the common denominator den**steps, where
     Fraction(alpha) = num/den is the float's exact value, the one the
@@ -57,18 +66,27 @@ def _exact_count_pmf(alpha: float, steps: int) -> list[Fraction]:
     """
     a = Fraction(alpha)
     num, den = a.numerator, a.denominator  # den is a power of two, so even
-    law = {(0, 0): 1}
-    for _ in range(steps):
+    law = {(0, 0, 0): 1}
+    for i in range(steps):
         nxt = defaultdict(int)
-        for (pos, k), w in law.items():
+        for (pos, k_inner, k), w in law.items():
             up = num if pos == 0 else den // 2
             for new, q in ((pos + 1, up), (pos - 1, den - up)):
-                nxt[new, k + (pos + new > 0)] += w * q
+                nonnegative = pos + new > 0
+                nxt[new, k_inner + (nonnegative and i < inner), k + nonnegative] += w * q
         law = nxt
-    pmf = [0] * (steps + 1)
-    for (_, k), w in law.items():
-        pmf[k] += w
-    return [Fraction(w, den**steps) for w in pmf]
+    joint = defaultdict(int)
+    for (_, k_inner, k), w in law.items():
+        joint[k_inner, k] += w
+    return {key: Fraction(w, den**steps) for key, w in joint.items()}
+
+
+def _exact_count_pmf(alpha: float, steps: int) -> list[Fraction]:
+    """Exact law of the occupation count after ``steps`` intervals."""
+    pmf = [Fraction(0)] * (steps + 1)
+    for (_, k), p in _exact_joint_law(alpha, steps, steps).items():
+        pmf[k] += p
+    return pmf
 
 
 def _wilson_hilferty_z(observed, expected) -> float:
@@ -103,17 +121,82 @@ class TestExactOracle:
     @pytest.mark.parametrize("alpha", [0.3, 0.8])
     @pytest.mark.parametrize("steps", [20, 21, 60])
     def test_histogram_matches_exact_law(self, alpha, steps):
-        paths = 20_000
-        config = SimConfig(alpha=alpha, steps=steps, paths=paths, max_moment=1, seed=101 + steps)
-        counts = path_occupation_counts(config)
-        pmf = _exact_count_pmf(alpha, steps)
-        seen = np.bincount(counts, minlength=steps + 1)
-        assert seen.size == steps + 1
+        config = SimConfig(alpha=alpha, steps=steps, paths=20_000, max_moment=1, seed=101 + steps)
+        self.assert_follows_exact_law(path_occupation_counts(config), alpha, steps)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.8])
+    @pytest.mark.parametrize("steps", [20, 21, 60])
+    def test_t_horizon_histogram_matches_exact_law(self, alpha, steps):
+        # the counts at t = 1/2 of a walk that runs on to t = 1
+        config = SimConfig(alpha=alpha, steps=steps, paths=20_000, max_moment=1, seed=307 + steps)
+        inner = steps // 2
+        counts = _horizon_counts(config, (inner, steps), jobs=1)
+        self.assert_follows_exact_law(counts[0], alpha, inner)
+
+    @staticmethod
+    def assert_follows_exact_law(counts, alpha, intervals):
+        pmf = _exact_count_pmf(alpha, intervals)
+        seen = np.bincount(counts, minlength=intervals + 1)
+        assert seen.size == intervals + 1
         # no path lands on a count the walk cannot produce (odd counts at even N)
         assert all(pmf[k] > 0 for k in np.flatnonzero(seen))
         support = [k for k, p in enumerate(pmf) if p > 0]
-        z = _wilson_hilferty_z([int(seen[k]) for k in support], [paths * float(pmf[k]) for k in support])
+        z = _wilson_hilferty_z([int(seen[k]) for k in support], [counts.size * float(pmf[k]) for k in support])
         assert abs(z) < 4.0
+
+    @pytest.mark.parametrize("alpha, steps", [(0.3, 16), (0.8, 15)])
+    def test_joint_histogram_matches_exact_law(self, alpha, steps):
+        # both counts come from the same path: (K_t, K_1) follows the joint law
+        paths = 20_000
+        inner = steps // 2
+        config = SimConfig(alpha=alpha, steps=steps, paths=paths, max_moment=1, seed=409 + steps)
+        counts = _horizon_counts(config, (inner, steps), jobs=1)
+        law = _exact_joint_law(alpha, inner, steps)
+        seen = defaultdict(int)
+        for pair in zip(*counts.tolist()):
+            seen[pair] += 1
+        assert set(seen) <= set(law)
+        cells = sorted(law)
+        z = _wilson_hilferty_z([seen[c] for c in cells], [paths * float(law[c]) for c in cells])
+        assert abs(z) < 4.0
+
+    def test_joint_law_marginals(self):
+        law = _exact_joint_law(0.3, 6, 12)
+        assert sum(law.values()) == 1
+        for axis, intervals in ((0, 6), (1, 12)):
+            marginal = defaultdict(Fraction)
+            for key, p in law.items():
+                marginal[key[axis]] += p
+            assert [marginal[k] for k in range(intervals + 1)] == _exact_count_pmf(0.3, intervals)
+
+
+class TestHorizons:
+    """One walk gives the counts at every horizon."""
+
+    CONFIG = SimConfig(alpha=0.42, steps=301, paths=3000, max_moment=2, seed=11)
+
+    def test_counts_are_consistent_along_each_path(self):
+        horizons = (0, 1, 7, 150, 300, 301)
+        counts = _horizon_counts(self.CONFIG, horizons, jobs=1)
+        assert counts.shape == (len(horizons), self.CONFIG.paths)
+        assert (counts[0] == 0).all()
+        for i in range(1, len(horizons)):
+            gained = counts[i] - counts[i - 1]
+            assert (gained >= 0).all() and (gained <= horizons[i] - horizons[i - 1]).all()
+        # the last row is the single-horizon walk's count, draw for draw
+        assert (counts[-1] == path_occupation_counts(self.CONFIG)).all()
+
+    def test_same_across_workers(self, monkeypatch):
+        monkeypatch.setattr("stirbess.occupation.BATCH_PATHS", 512)
+        serial = _horizon_counts(self.CONFIG, (100, 301), jobs=1)
+        assert (serial == _horizon_counts(self.CONFIG, (100, 301), jobs=3)).all()
+
+    def test_estimates_in_the_order_asked(self):
+        full, half, again = estimate_moments_at(self.CONFIG, (1, Fraction(1, 2), 1))
+        assert full == again == estimate_moments(self.CONFIG)
+        assert half.time_fraction == Fraction(1, 2)
+        counts = _horizon_counts(self.CONFIG, (150, 301), jobs=1)[0]
+        assert half.moments[0].empirical_mean == float(Fraction(int(counts.sum()), 3000 * 301))
 
 
 class _ConstantRng:
@@ -132,12 +215,13 @@ class _ConstantRng:
 class TestExtremeUniforms:
     @pytest.mark.parametrize("value", [0.0, np.nextafter(1.0, 0.0)])
     def test_counts_stay_in_range(self, value):
-        intervals = 37
-        counts = _walk_counts(0.5, intervals, 5, _ConstantRng(value))
-        assert counts.shape == (5,)
-        assert all(0 <= c <= intervals for c in counts.tolist())
-        # the smallest uniforms send every path up, the largest down
-        assert counts.tolist() == [intervals if value == 0.0 else 0] * 5
+        for horizons in ((37,), (12, 37)):
+            counts = _walk_counts(0.5, horizons, 5, _ConstantRng(value))
+            assert counts.shape == (len(horizons), 5)
+            for h, row in zip(horizons, counts.tolist()):
+                assert all(0 <= c <= h for c in row)
+                # the smallest uniforms send every path up, the largest down
+                assert row == [h if value == 0.0 else 0] * 5
 
 
 class TestEstimateMoments:
