@@ -10,7 +10,6 @@ too long to print.  Data goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -113,8 +112,10 @@ def _default_jobs(jobs: int | None) -> int:
 class _Output(NamedTuple):
     """A command's exit code and its output in each format. Lines and rows
     are lazy iterables and the payload a callable, so only the format that is
-    printed gets built. ``exact`` holds every computed int or Fraction that
-    any format prints, so their length can be checked before printing."""
+    printed gets built. A csv row is a sequence of cells, each printed as its
+    ``str()``, quoted where csv needs it. ``exact`` holds every computed int
+    or Fraction that any format prints, so their length can be checked before
+    printing."""
 
     code: int
     lines: Iterable[str]  # table
@@ -141,8 +142,26 @@ def _too_long_error() -> int:
     )
 
 
+def _csv_field(value) -> str:
+    """``str(value)``, quoted when it holds a comma, a quote or a line break,
+    with inner quotes doubled: the default ``csv`` dialect's minimal quoting."""
+    text = str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_line(row: Sequence) -> str:
+    """One csv record ended by ``\\r\\n``: what ``csv.writer`` writes for
+    it, except for a record of one empty field, which ``csv.writer`` writes
+    as ``""`` and this as an empty line; no command emits one."""
+    return ",".join(map(_csv_field, row)) + "\r\n"
+
+
 def _emit(fmt: str, out: _Output) -> None:
-    """Write command output to stdout; nothing else in the CLI does."""
+    """Write command output to stdout; nothing else in the CLI does. Each
+    table line and csv record is written as it is made, so no format but json
+    holds the whole output at once."""
     stdout = sys.stdout  # read per call: callers may redirect it
     if fmt == "table":
         for line in out.lines:
@@ -150,23 +169,39 @@ def _emit(fmt: str, out: _Output) -> None:
     elif fmt == "json":
         print(json.dumps(out.payload(), indent=2), file=stdout)
     else:
-        writer = csv.writer(stdout)
-        writer.writerow(out.header)
-        writer.writerows(out.rows)
+        stdout.write(_csv_line(out.header))
+        stdout.writelines(map(_csv_line, out.rows))
 
 
 # ---------------------------------------------------------------------------
 # triangle
 
-# One entry of row n of each family that has a closed form for it, and a
-# multiple c such that the entry has more than `limit` digits by n = c * limit
-# (limit >= 640).  When that entry is too long to print, so is the row, and
-# --n is refused before any row is built; only row min(n, c * limit) is
+def _stirling2_lower_bound(n: int) -> int:
+    """(k^n - k (k-1)^n) // k!, at most S(n, k), for the k that makes it
+    largest (n >= 1).  k! S(n, k) counts the maps of n elements onto k
+    blocks: all k^n maps less at most (k-1)^n that miss each block.  Floats
+    pick k by scanning the bound's logarithm, which costs less than the exact
+    bound; the bound itself is exact."""
+
+    def log_bound(k: int) -> float:
+        missed = k * (1 - 1 / k) ** n
+        return n * math.log(k) - math.lgamma(k + 1) + math.log1p(-missed) if missed < 1 else -math.inf
+
+    k = max(range(1, n + 1), key=log_bound)
+    return (k**n - k * (k - 1) ** n) // math.factorial(k)
+
+
+# One entry of row n of each family, or for stirling2 an integer lower bound
+# of one, and a multiple c such that it has more than `limit` digits by
+# n = c * limit (limit >= 640).  When it is too long to print, so is the row,
+# and --n is refused before any row is built; only row min(n, c * limit) is
 # checked, so even a huge --n is refused at once.  gs is checked only once built.
 _ROW_ENTRY = {
     "stirling1": (lambda n: math.factorial(n - 1), 2),  # s(n, 1)
     "stirling1-signed": (lambda n: math.factorial(n - 1), 2),
-    "stirling2": (lambda n: 2 ** (n - 1) - 1, 4),  # S(n, 2): more than `limit` digits by n = 3.33 limit
+    # more than `limit` digits from the first row with such an entry at limits
+    # 640 and 4300 (n = 399 and 1982); n / limit there falls as limit grows
+    "stirling2": (_stirling2_lower_bound, 1),
     "lah": (lambda n: triangles.lah(n, 1), 2),  # n!
     "bessel-b": (lambda n: triangles.bessel_b(n, 1), 2),  # (2n-2)!/(2^(n-1) (n-1)!)
     "bessel-B": (lambda n: triangles.bessel_B(n, (n + 1) // 2), 2),

@@ -1,5 +1,8 @@
+import csv
 import hashlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import stirbess
 from stirbess import cli, families, identities, triangles
@@ -313,7 +317,7 @@ class TestValuesTooLargeToPrint:
     # the smallest n whose checked closed-form entry has more than 640 digits
     @pytest.mark.parametrize(
         "family, n",
-        [("stirling1", 312), ("stirling1-signed", 312), ("stirling2", 2128), ("lah", 311), ("bessel-b", 279),
+        [("stirling1", 312), ("stirling1-signed", 312), ("stirling2", 399), ("lah", 311), ("bessel-b", 279),
          ("bessel-B", 555)],
     )
     def test_triangle_refused_before_it_is_built(self, capsys, monkeypatch, family, n):
@@ -325,6 +329,27 @@ class TestValuesTooLargeToPrint:
             self.assert_refused(*self.run_at_lowest_limit(capsys, "triangle", family, "--n", str(n_max)))
         with pytest.raises(AssertionError, match="built row"):
             self.run_at_lowest_limit(capsys, "triangle", family, "--n", str(n - 1))
+
+    def test_stirling2_refused_from_its_first_unprintable_row(self, capsys, monkeypatch):
+        rows = triangles.Triangles().rows("stirling2", 399)
+        assert max(rows[398]) < 10**640 <= max(rows[399])
+
+        def not_built(table, row):
+            raise AssertionError(f"built row {row}")
+
+        monkeypatch.setattr(triangles.RecurrenceTriangle, "rows", not_built)
+        # S(1982, k) first has more than 4300 digits, the default limit
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        self.assert_refused(*run_cli(capsys, "triangle", "stirling2", "--n", "1982"))
+        with pytest.raises(AssertionError, match="built row"):
+            run_cli(capsys, "triangle", "stirling2", "--n", "1981")
+
+    def test_stirling2_lower_bound(self):
+        s2 = triangles.Triangles().rows("stirling2", 150)
+        for n in range(1, 151):
+            bounds = [(k**n - k * (k - 1) ** n) // math.factorial(k) for k in range(1, n + 1)]
+            assert all(b <= s for b, s in zip(bounds, s2[n][1:])), n
+            assert cli._stirling2_lower_bound(n) == max(bounds), n
 
     @pytest.mark.parametrize("family", sorted(cli._ROW_ENTRY))
     def test_triangle_huge_n_refused_at_once(self, capsys, monkeypatch, family):
@@ -376,6 +401,49 @@ def test_exact_commands_do_not_import_numpy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+_CSV_TEXT = st.text(st.one_of(
+    st.sampled_from(',"\r\n '), st.characters(exclude_categories=("Cs",), exclude_characters="\x00")
+))
+_CSV_CELLS = st.one_of(
+    _CSV_TEXT,
+    st.integers(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.fractions(),
+    st.floats(),
+)
+
+
+class TestCsvLine:
+    """The CLI's csv writer against the standard library's, its oracle."""
+
+    @given(st.lists(_CSV_CELLS, min_size=2, max_size=5))
+    def test_matches_csv_writer(self, row):
+        expected = io.StringIO()
+        csv.writer(expected).writerow(row)
+        assert cli._csv_line(row) == expected.getvalue()
+
+    def test_quoted_cell(self):
+        row = [1, 'say "hi", twice', Fraction(-1, 2)]
+        assert cli._csv_line(row) == '1,"say ""hi"", twice",-1/2\r\n'
+
+
+# the benchmark's triangle-rows command lines, whose stdout sha256 it pins
+_BENCH_TRIANGLE_COMMANDS = (
+    "triangle stirling1 --n 250 --format csv",
+    "triangle bessel-b --n 250 --format csv",
+    "triangle lah --n 250 --format table",
+    "triangle gs --s 1/2 --h -3/2 --n 100 --format json",
+)
+
+
+@pytest.mark.parametrize("command", _BENCH_TRIANGLE_COMMANDS)
+def test_benchmark_digest(capsys, command):
+    digests = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json").read_text())
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[command]
 
 
 class TestParserBasics:
