@@ -54,6 +54,12 @@ class TestUniPoly:
         assert str(UniPoly([0, Fraction(1, 2), Fraction(1, 2)])) == "(1/2)x^2 + (1/2)x"
         assert str(UniPoly()) == "0"
 
+    def test_str_signs_and_units(self):
+        assert str(UniPoly([0, -1])) == "-x"
+        assert str(UniPoly([1, 0, Fraction(-1, 2)])) == "-(1/2)x^2 + 1"
+        assert str(UniPoly([-1])) == "-1"
+        assert str(UniPoly([1])) == "1"
+
     @given(unipolys, unipolys, unipolys)
     def test_ring_laws(self, p, q, r):
         assert p + q == q + p
@@ -111,6 +117,15 @@ class TestBiPoly:
     @given(bipolys(), points, points)
     def test_full_evaluation_matches_staged_evaluation(self, p, x0, z0):
         assert p(x0, z0) == p.substitute_z(z0)(x0)
+
+    def test_str(self):
+        p = BiPoly({(2, 1): Fraction(-3, 4), (1, 0): 1, (0, 2): -1, (0, 0): 1, (1, 3): 2})
+        assert str(p) == "1 - z^2 + x + 2xz^3 - (3/4)x^2z"
+        assert str(BiPoly({(0, 1): Fraction(1, 2), (3, 0): -1})) == "(1/2)z - x^3"
+        assert str(BiPoly({(0, 2): Fraction(-1, 3), (1, 1): 1})) == "-(1/3)z^2 + xz"
+        assert str(BiPoly({(0, 0): 1})) == "1"
+        assert str(BiPoly({(0, 0): -1})) == "-1"
+        assert str(BiPoly()) == "0"
 
     def test_items_sorted_lexicographically(self):
         p = BiPoly({(2, 1): 1, (0, 3): 2, (2, 0): 3})

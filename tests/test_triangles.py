@@ -192,6 +192,14 @@ class TestRows:
             assert list(row) == [entry(n, k) for k in range(n + 1)], n
 
 
+    def test_signed_rows_are_signed_unsigned_rows(self):
+        t = Triangles()
+        signed, unsigned = t.rows("stirling1-signed", 200), t.rows("stirling1", 200)
+        assert len(signed) == len(unsigned) == 201
+        for n, (srow, urow) in enumerate(zip(signed, unsigned)):
+            assert list(srow) == [(-1) ** (n - k) * v for k, v in enumerate(urow)], n
+
+
 class TestGeneralizedStirling:
     def test_specializes_to_stirling_first_kind(self):
         for n in range(0, 26):
