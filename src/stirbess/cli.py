@@ -20,15 +20,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import families, identities, triangles
 
-TRIANGLE_FAMILIES = (
-    "stirling1",
-    "stirling1-signed",
-    "stirling2",
-    "lah",
-    "bessel-b",
-    "bessel-B",
-    "gs",
-)
+TRIANGLE_FAMILIES = (*triangles.RECURRENCES, "gs")
 POLY_KINDS = ("pn", "pn-closed", "bessel-y", "bessel-theta", "chebyshev")
 FORMATS = ("table", "json", "csv")
 
@@ -73,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("ids", nargs="*", metavar="identity", help="identity ids to run")
     p_ver.add_argument("--all", action="store_true", help="run every registered identity")
     p_ver.add_argument("--n-max", type=int, default=20)
-    p_ver.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
+    p_ver.add_argument("--jobs", type=int, default=None, help="worker processes (default: all usable cores)")
     p_ver.add_argument("--timings", action="store_true", help="include elapsed_ms in json/csv output")
     p_ver.add_argument("--format", choices=FORMATS, default="table")
 
@@ -103,6 +95,8 @@ def _default_jobs(jobs: int | None) -> int:
         if jobs < 1:
             raise ValueError("jobs must be positive")
         return jobs
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -191,11 +185,12 @@ def _stirling2_lower_bound(n: int) -> int:
     return (k**n - k * (k - 1) ** n) // math.factorial(k)
 
 
-# One entry of row n of each family, or for stirling2 an integer lower bound
-# of one, and a multiple c such that it has more than `limit` digits by
-# n = c * limit (limit >= 640).  When it is too long to print, so is the row,
-# and --n is refused before any row is built; only row min(n, c * limit) is
-# checked, so even a huge --n is refused at once.  gs is checked only once built.
+# One entry of row n of each triangle family but gs and of polynomial n of
+# each poly kind, or for stirling2 an integer lower bound of one, and a
+# multiple c such that it has more than `limit` digits by n = c * limit
+# (limit >= 640).  When it is too long to print, so is the row or polynomial,
+# and --n is refused before any is built; only entry min(n, c * limit) is
+# checked, so even a huge --n is refused at once.  gs is checked once built.
 _ROW_ENTRY = {
     "stirling1": (lambda n: math.factorial(n - 1), 2),  # s(n, 1)
     "stirling1-signed": (lambda n: math.factorial(n - 1), 2),
@@ -205,7 +200,31 @@ _ROW_ENTRY = {
     "lah": (lambda n: triangles.lah(n, 1), 2),  # n!
     "bessel-b": (lambda n: triangles.bessel_b(n, 1), 2),  # (2n-2)!/(2^(n-1) (n-1)!)
     "bessel-B": (lambda n: triangles.bessel_B(n, (n + 1) // 2), 2),
+    # the largest coefficient of y_n and of theta_n, (2n)!/(2^n n!)
+    "bessel-y": (lambda n: math.factorial(2 * n) // (math.factorial(n) << n), 1),
+    "bessel-theta": (lambda n: math.factorial(2 * n) // (math.factorial(n) << n), 1),
+    "chebyshev": (lambda n: 1 << (n - 1), 4),  # the leading coefficient of T_n
+    # the denominator of the coefficient 1/(n-1)! of x z^(n-1) in P_n
+    "pn": (lambda n: math.factorial(n - 1), 2),
+    "pn-closed": (lambda n: math.factorial(n - 1), 2),
 }
+
+# poly pn runs the recurrence for P_n, whose cost grows fast with n: --n 160,
+# 200 and 240 took about 25 s, 65 s and 150 s on one core (2 cores, Python
+# 3.11.7), so --n above this, about a minute, is refused; pn-closed prints
+# the same polynomial much sooner.
+MAX_PN_RECURRENCE_N = 200
+
+
+def _unprintable(name: str, n: int) -> bool:
+    """Whether entry n of ``_ROW_ENTRY[name]`` shows that row or polynomial n
+    of that family is too long to print; False for a family not in it, for
+    n = 0 and when nothing limits the digits printed."""
+    limit = sys.get_int_max_str_digits()
+    if name not in _ROW_ENTRY or not n or not limit:
+        return False
+    entry, c = _ROW_ENTRY[name]
+    return _too_long_to_print([entry(min(n, c * limit))])
 
 
 def _cell(value) -> int | str:
@@ -223,11 +242,8 @@ def _cmd_triangle(args) -> int | _Output:
     n_max = args.n_max
     if n_max < 0:
         return _usage_error("--n must be nonnegative")
-    limit = sys.get_int_max_str_digits()
-    if args.family in _ROW_ENTRY and n_max and limit:
-        entry, c = _ROW_ENTRY[args.family]
-        if _too_long_to_print([entry(min(n_max, c * limit))]):
-            return _too_long_error()
+    if _unprintable(args.family, n_max):
+        return _too_long_error()
     if args.family == "gs":
         rows = triangles.DEFAULT.gs_rows(args.s, args.h, n_max)
     else:
@@ -289,32 +305,30 @@ def _bipoly_output(args, poly) -> _Output:
 
 
 def _cmd_poly(args) -> int | _Output:
-    if args.which in ("pn", "pn-closed"):
-        if args.n < 1:
-            return _usage_error("pn variants require --n >= 1")
-        poly = families.pn_recurrence(args.n) if args.which == "pn" else families.pn_closed_form(args.n)
-        if args.z is not None:
-            return _unipoly_output(args, poly.substitute_z(args.z), args.z)
-        return _bipoly_output(args, poly)
-    if args.z is not None:
+    pn = args.which in ("pn", "pn-closed")
+    if pn and args.n < 1:
+        return _usage_error("pn variants require --n >= 1")
+    if args.z is not None and not pn:
         return _usage_error("--z applies only to pn variants")
     if args.n < 0:
         return _usage_error("--n must be nonnegative")
-    limit = sys.get_int_max_str_digits()
-    if args.which in ("bessel-y", "bessel-theta") and limit:
-        # the largest coefficient of y_n and of theta_n is (2n)!/(2^n n!), so
-        # checking it alone refuses an unprintable --n before any work; it
-        # grows with n and has more than `limit` digits by n = limit, so even
-        # a huge --n is refused at once
-        m = min(args.n, limit)
-        if _too_long_to_print([math.factorial(2 * m) // (math.factorial(m) << m)]):
-            return _too_long_error()
+    if _unprintable(args.which, args.n):
+        return _too_long_error()
+    if args.which == "pn" and args.n > MAX_PN_RECURRENCE_N:
+        return _usage_error(
+            f"poly pn --n must be at most {MAX_PN_RECURRENCE_N}, about a minute of recurrence work; "
+            "poly pn-closed prints the same polynomial sooner"
+        )
     poly = {
+        "pn": families.pn_recurrence,
+        "pn-closed": families.pn_closed_form,
         "bessel-y": families.bessel_poly,
         "bessel-theta": families.reverse_bessel_poly,
         "chebyshev": families.chebyshev_t,
     }[args.which](args.n)
-    return _unipoly_output(args, poly, None)
+    if args.z is not None:
+        return _unipoly_output(args, poly.substitute_z(args.z), args.z)
+    return _bipoly_output(args, poly) if pn else _unipoly_output(args, poly, None)
 
 
 # ---------------------------------------------------------------------------

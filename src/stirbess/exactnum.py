@@ -14,9 +14,7 @@ from fractions import Fraction
 from .polys import Rational, UniPoly
 
 
-def factorial(n: int) -> int:
-    """n! for n >= 0; raises ValueError for negative n."""
-    return math.factorial(n)
+factorial = math.factorial  # n! for n >= 0; raises ValueError for negative n
 
 
 def binomial_int(n: int, k: int) -> int:
@@ -34,14 +32,13 @@ def binomial_int(n: int, k: int) -> int:
 
 
 def binomial_rat(a: Rational, k: int) -> Fraction:
-    """C(a, k) = a (a-1) ... (a-k+1) / k! for rational a and k >= 0."""
+    """C(a, k) = a (a-1) ... (a-k+1) / k! for rational a and k >= 0: with
+    a = p/q, the integer product p (p-q) ... (p-(k-1)q) over q^k k!."""
     if k < 0:
         raise ValueError("lower index must be nonnegative")
     a = Fraction(a)
-    num = Fraction(1)
-    for j in range(k):
-        num *= a - j
-    return num / factorial(k)
+    p, q = a.numerator, a.denominator
+    return Fraction(math.prod(p - j * q for j in range(k)), q**k * factorial(k))
 
 
 def binomial_poly_upper(c: int, k: int) -> UniPoly:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from typing import Callable
 
 from . import triangles
 from .exactnum import binomial_int, factorial
@@ -143,6 +144,19 @@ def pn_z_one(n: int) -> UniPoly:
     return UniPoly(coeffs)
 
 
+def _three_term(n: int, p1: UniPoly, step: Callable[[int, UniPoly, UniPoly], UniPoly]) -> UniPoly:
+    """p_n of the sequence p_0 = 1, p_1 = p1, p_m = step(m, p_{m-1}, p_{m-2})."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    prev = UniPoly((1,))
+    if n == 0:
+        return prev
+    cur = p1
+    for m in range(2, n + 1):
+        prev, cur = cur, step(m, cur, prev)
+    return cur
+
+
 @functools.cache
 def bessel_poly(n: int) -> UniPoly:
     """Bessel polynomial y_n: y_0 = 1, y_1 = x+1, y_n = (2n-1)x y_{n-1} + y_{n-2}.
@@ -150,15 +164,7 @@ def bessel_poly(n: int) -> UniPoly:
     Memoized: ``UniPoly`` is immutable, and ``bessel-b-coeff`` asks for
     y_{n-1} once per (n, k).
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    prev = UniPoly((1,))
-    if n == 0:
-        return prev
-    cur = UniPoly((1, 1))
-    for m in range(2, n + 1):
-        prev, cur = cur, (2 * m - 1) * cur.shifted(1) + prev
-    return cur
+    return _three_term(n, UniPoly((1, 1)), lambda m, cur, prev: (2 * m - 1) * cur.shifted(1) + prev)
 
 
 def reverse_bessel_poly(n: int) -> UniPoly:
@@ -166,28 +172,13 @@ def reverse_bessel_poly(n: int) -> UniPoly:
 
     theta_0 = 1, theta_1 = x+1, theta_n = (2n-1) theta_{n-1} + x^2 theta_{n-2}.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    prev = UniPoly((1,))
-    if n == 0:
-        return prev
-    cur = UniPoly((1, 1))
-    for m in range(2, n + 1):
-        prev, cur = cur, (2 * m - 1) * cur + prev.shifted(2)
-    return cur
+    return _three_term(n, UniPoly((1, 1)), lambda m, cur, prev: (2 * m - 1) * cur + prev.shifted(2))
 
 
 def chebyshev_t(n: int) -> UniPoly:
-    """Chebyshev polynomial of the first kind T_n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    prev = UniPoly((1,))
-    if n == 0:
-        return prev
-    cur = UniPoly.x()
-    for _ in range(2, n + 1):
-        prev, cur = cur, 2 * cur.shifted(1) - prev
-    return cur
+    """Chebyshev polynomial of the first kind T_n: T_0 = 1, T_1 = x,
+    T_n = 2x T_{n-1} - T_{n-2}."""
+    return _three_term(n, UniPoly.x(), lambda m, cur, prev: 2 * cur.shifted(1) - prev)
 
 
 def pn_via_chebyshev(n: int) -> UniPoly:

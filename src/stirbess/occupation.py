@@ -127,10 +127,6 @@ class SimResult:
     paths_used: int
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, block]))
-
-
 def _walk_counts(alpha: float, horizons: tuple[int, ...], size: int, rng: np.random.Generator) -> np.ndarray:
     """Occupation counts of ``size`` paths driven by one stream, one row per
     horizon: row i counts the nonnegative intervals among the first
@@ -169,7 +165,7 @@ def _walk_counts(alpha: float, horizons: tuple[int, ...], size: int, rng: np.ran
 
 
 def _block_counts(alpha: float, horizons: tuple[int, ...], size: int, seed: int, block: int) -> np.ndarray:
-    return _walk_counts(alpha, horizons, size, _block_rng(seed, block))
+    return _walk_counts(alpha, horizons, size, np.random.Generator(np.random.Philox(key=[seed, block])))
 
 
 def _intervals(config: SimConfig, time_fraction: Rational) -> int:

@@ -19,6 +19,27 @@ from typing import Iterable, Mapping, Union
 Rational = Union[int, Fraction]
 
 
+def _power(var: str, e: int) -> str:
+    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
+
+
+def _sum_str(terms: Iterable[tuple[Rational, str]]) -> str:
+    """The (coefficient, monomial) terms as a sum in the order given, as in
+    "-(1/2)x^2z + x - 3": zero terms are skipped, a fraction is
+    parenthesised, a unit coefficient before a monomial is left out, and the
+    empty sum is "0"."""
+    parts: list[str] = []
+    for c, mono in terms:
+        if not c:
+            continue
+        mag = -c if c < 0 else c
+        coeff = f"({mag})" if mag.denominator != 1 else str(mag.numerator)
+        term = mono if coeff == "1" and mono else coeff + mono
+        sign = "-" if c < 0 else "+"
+        parts.append(f"{sign} {term}" if parts else term if sign == "+" else f"-{term}")
+    return " ".join(parts) or "0"
+
+
 class UniPoly:
     """Dense univariate polynomial; index in the coefficient tuple = degree.
 
@@ -133,29 +154,7 @@ class UniPoly:
         return acc
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        for k in range(self.degree, -1, -1):
-            c = self._coeffs[k]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            if mag.denominator != 1:
-                coeff = f"({mag})"
-            else:
-                coeff = str(mag.numerator)
-            if k == 0:
-                term = coeff
-            else:
-                xk = "x" if k == 1 else f"x^{k}"
-                term = xk if coeff == "1" else f"{coeff}{xk}"
-            if not parts:
-                parts.append(term if sign == "+" else f"-{term}")
-            else:
-                parts.append(f"{sign} {term}")
-        return " ".join(parts)
+        return _sum_str((self._coeffs[k], _power("x", k)) for k in range(self.degree, -1, -1))
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self._coeffs)!r})"
@@ -245,24 +244,7 @@ class BiPoly:
         return self.substitute_z(z0)(x0)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        out = ""
-        for (i, j), c in self.items():
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            mono = "".join(
-                (f"{v}^{e}" if e > 1 else v)
-                for v, e in (("x", i), ("z", j))
-                if e > 0
-            )
-            coeff = f"({mag})" if mag.denominator != 1 else str(mag.numerator)
-            term = mono if (coeff == "1" and mono) else coeff + mono
-            if not out:
-                out = term if sign == "+" else f"-{term}"
-            else:
-                out += f" {sign} {term}"
-        return out
+        return _sum_str((c, _power("x", i) + _power("z", j)) for (i, j), c in self.items())
 
     def __repr__(self) -> str:
         return f"BiPoly({dict(self.items())!r})"

@@ -8,6 +8,7 @@ n and k,
 with delta initial conditions T(n, 0) = [n == 0], T(0, k) = [k == 0], and
 
     (a, b) = (1, 0)              unsigned Stirling, first kind
+    (a, b) = (-1, 0)             signed Stirling, first kind
     (a, b) = (0, 1)              Stirling, second kind
     (a, b) = (1, 1)              Lah
     (a, b) = (-2, 1)             Bessel, first kind (signed)
@@ -23,8 +24,7 @@ families), row n holds D^(n-k) T(n, k), which satisfies
 
 a recurrence with integer coefficients.  ``Triangles`` holds one for each
 integral family in ``RECURRENCES`` and returns their rows with
-``Triangles.rows``; the signed Stirling numbers of the first kind are the
-unsigned ones with the sign (-1)^(n-k).  It holds one more per
+``Triangles.rows``.  It holds one more per
 generalized-Stirling pair (s, h): ``Triangles.gs_table`` returns D and the
 integer rows for exact sums over a common denominator, and
 ``Triangles.gs_rows`` and ``Triangles.gs`` give ``Fraction`` views of them,
@@ -128,9 +128,10 @@ def lah(n: int, k: int) -> int:
     return factorial(n - 1) // factorial(k - 1) * binomial_int(n, k)
 
 
-# family: (a, b) of its recurrence
+# family: (a, b) of its recurrence, in the order the CLI lists the families
 RECURRENCES = {
     "stirling1": (1, 0),
+    "stirling1-signed": (-1, 0),
     "stirling2": (0, 1),
     "lah": (1, 1),
     "bessel-b": (-2, 1),
@@ -161,15 +162,10 @@ class Triangles:
         return self._stirling2.value(n, k)
 
     def stirling1_signed(self, n: int, k: int) -> int:
-        v = self._stirling1.value(n, k)
-        return -v if (n - k) % 2 else v
+        return self._tables["stirling1-signed"].value(n, k)
 
     def rows(self, family: str, n: int) -> list[tuple[int, ...]]:
-        """Rows 0..n of a family in ``RECURRENCES`` or of "stirling1-signed";
-        row m holds T(m, 0..m)."""
-        if family == "stirling1-signed":
-            return [tuple(-v if (m - k) % 2 else v for k, v in enumerate(row))
-                    for m, row in enumerate(self.rows("stirling1", n))]
+        """Rows 0..n of a family in ``RECURRENCES``; row m holds T(m, 0..m)."""
         return self._tables[family].rows(n)[: n + 1]
 
     def gs_table(self, s: Rational, h: Rational, n: int) -> tuple[int, list[tuple[int, ...]]]:

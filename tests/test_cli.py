@@ -18,6 +18,7 @@ import stirbess
 from stirbess import cli, families, identities, triangles
 from stirbess.cli import main
 from stirbess.identities import Identity
+from stirbess.polys import BiPoly
 
 
 def run_cli(capsys, *args):
@@ -125,6 +126,19 @@ class TestPoly:
         code, out, _ = run_cli(capsys, "poly", "chebyshev", "--n", "3", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "power,coefficient"
+
+    def test_pn_recurrence_cap(self, capsys, monkeypatch):
+        def not_run(n):
+            raise AssertionError(f"ran the recurrence to n = {n}")
+
+        monkeypatch.setattr(families, "pn_recurrence", not_run)
+        code, out, err = run_cli(capsys, "poly", "pn", "--n", str(cli.MAX_PN_RECURRENCE_N + 1))
+        assert cli.MAX_PN_RECURRENCE_N == 200
+        assert code == 2 and out == ""
+        assert err.startswith("stirbess: error: ") and "pn-closed" in err
+        monkeypatch.setattr(families, "pn_recurrence", lambda n: BiPoly.x())
+        code, out, _ = run_cli(capsys, "poly", "pn", "--n", "200", "--format", "csv")
+        assert code == 0 and out.splitlines() == ["x_power,z_power,coefficient", "1,0,1"]
 
 
 class TestVerify:
@@ -351,7 +365,24 @@ class TestValuesTooLargeToPrint:
             assert all(b <= s for b, s in zip(bounds, s2[n][1:])), n
             assert cli._stirling2_lower_bound(n) == max(bounds), n
 
-    @pytest.mark.parametrize("family", sorted(cli._ROW_ENTRY))
+    # the smallest n whose checked entry has more than 640 digits: 2^(n-1) for
+    # chebyshev, (n-1)! for pn and pn-closed
+    @pytest.mark.parametrize("which, n", [("chebyshev", 2128), ("pn", 312), ("pn-closed", 312)])
+    def test_poly_refused_before_it_is_built(self, capsys, monkeypatch, which, n):
+        def not_built(n):
+            raise AssertionError(f"built degree {n} only to refuse it")
+
+        for builder in ("chebyshev_t", "pn_recurrence", "pn_closed_form"):
+            monkeypatch.setattr(families, builder, not_built)
+        start = time.perf_counter()
+        for n_max in (n, 10**9):
+            self.assert_refused(*self.run_at_lowest_limit(capsys, "poly", which, "--n", str(n_max)))
+        assert time.perf_counter() - start < 2.0
+        if which != "pn":  # pn --n 311 is above the recurrence cap
+            with pytest.raises(AssertionError, match="built degree"):
+                self.run_at_lowest_limit(capsys, "poly", which, "--n", str(n - 1))
+
+    @pytest.mark.parametrize("family", sorted(f for f in cli._ROW_ENTRY if f in cli.TRIANGLE_FAMILIES))
     def test_triangle_huge_n_refused_at_once(self, capsys, monkeypatch, family):
         def not_built(table, row):
             raise AssertionError(f"built row {row}")
@@ -375,6 +406,15 @@ class TestValuesTooLargeToPrint:
         assert code == 0 and out.splitlines()[-1] == "3,3,1"
         code, out, _ = run_cli(capsys, "poly", "bessel-y", "--n", "3", "--format", "csv")
         assert code == 0 and out.splitlines()[-1] == "3,15"
+
+
+def test_default_jobs_counts_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._default_jobs(None) == 1
+    assert cli._default_jobs(3) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._default_jobs(None) == 8
 
 
 def test_exact_commands_do_not_import_numpy():

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -97,6 +98,13 @@ class TestPnClosedForm:
     def test_agrees_with_recurrence(self):
         for n in range(1, 13):
             assert pn_closed_form(n) == pn_recurrence(n)
+
+    def test_x_z_top_coefficient(self):
+        # the CLI refuses an unprintable poly pn/pn-closed --n from this denominator
+        for n in range(1, 41):
+            expected = Fraction(1, math.factorial(n - 1))
+            assert pn_closed_form(n).coefficient(1, n - 1) == expected, n
+            assert pn_recurrence(n).coefficient(1, n - 1) == expected, n
 
 
 class TestSkewSlice:
