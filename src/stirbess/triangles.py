@@ -24,11 +24,10 @@ families), row n holds D^(n-k) T(n, k), which satisfies
 
 a recurrence with integer coefficients.  ``Triangles`` holds one for each
 integral family in ``RECURRENCES`` and returns their rows with
-``Triangles.rows``.  It holds one more per
-generalized-Stirling pair (s, h): ``Triangles.gs_table`` returns D and the
-integer rows for exact sums over a common denominator, and
-``Triangles.gs_rows`` and ``Triangles.gs`` give ``Fraction`` views of them,
-GS(n, k) = Fraction(row n [k], D^(n-k)).
+``Triangles.rows``.  It holds one more per generalized-Stirling pair (s, h):
+``Triangles.gs_table`` returns D and the integer rows for exact sums over a
+common denominator, and ``Triangles.gs_rows`` and ``Triangles.gs`` give
+``Fraction`` views of them, GS(n, k) = Fraction(row n [k], D^(n-k)).
 
 Bessel numbers of the first kind b(n, k) and second kind B(n, k), and the
 Lah numbers L(n, k), also have module functions computing their factorial
