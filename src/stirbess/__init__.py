@@ -4,85 +4,35 @@ Number triangles (Stirling first/second kind, Lah, Bessel, generalized
 Stirling), exact bivariate moment polynomials and their classical slices,
 a declarative identity verification suite, and a Monte Carlo cross-check
 of skew Brownian motion occupation-time moments.
+
+Each module is loaded the first time one of its names is used, so
+``import stirbess`` loads none of them; only the simulation (``occupation``)
+loads numpy.
 """
 
-from .exactnum import (
-    binomial_int,
-    binomial_poly_upper,
-    binomial_rat,
-    factorial,
-    falling_factorial_poly,
-    rising_factorial_poly,
-)
-from .families import (
-    bessel_poly,
-    chebyshev_t,
-    pn_closed_form,
-    pn_recurrence,
-    pn_skew_bm,
-    pn_via_chebyshev,
-    pn_z_minus2,
-    pn_z_one,
-    reverse_bessel_poly,
-)
-from .identities import IdentityReport, run_suite, verify
-from .polys import BiPoly, UniPoly
-from .triangles import (
-    Triangles,
-    bessel_B,
-    bessel_b,
-    gs,
-    lah,
-    stirling1,
-    stirling1_signed,
-    stirling2,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-_OCCUPATION = ("SimConfig", "SimResult", "estimate_moments", "estimate_moments_at")
+_EXPORTS = {
+    "exactnum": ("binomial_int", "binomial_poly_upper", "binomial_rat", "factorial",
+                 "falling_factorial_poly", "rising_factorial_poly"),
+    "families": ("bessel_poly", "chebyshev_t", "pn_closed_form", "pn_recurrence", "pn_skew_bm",
+                 "pn_via_chebyshev", "pn_z_minus2", "pn_z_one", "reverse_bessel_poly"),
+    "identities": ("IdentityReport", "run_suite", "verify"),
+    "occupation": ("SimConfig", "SimResult", "estimate_moments", "estimate_moments_at"),
+    "polys": ("BiPoly", "UniPoly"),
+    "triangles": ("Triangles", "bessel_B", "bessel_b", "gs", "lah", "stirling1", "stirling1_signed",
+                  "stirling2"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF) + ["__version__"]
 
 
 def __getattr__(name: str):
-    # the simulation needs numpy, so it is imported only when asked for
-    if name in _OCCUPATION:
-        from . import occupation
-
-        return getattr(occupation, name)
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name in _MODULE_OF:
+        return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "BiPoly",
-    "IdentityReport",
-    "SimConfig",
-    "SimResult",
-    "Triangles",
-    "UniPoly",
-    "bessel_B",
-    "bessel_b",
-    "bessel_poly",
-    "binomial_int",
-    "binomial_poly_upper",
-    "binomial_rat",
-    "chebyshev_t",
-    "estimate_moments",
-    "estimate_moments_at",
-    "factorial",
-    "falling_factorial_poly",
-    "gs",
-    "lah",
-    "pn_closed_form",
-    "pn_recurrence",
-    "pn_skew_bm",
-    "pn_via_chebyshev",
-    "pn_z_minus2",
-    "pn_z_one",
-    "reverse_bessel_poly",
-    "rising_factorial_poly",
-    "run_suite",
-    "stirling1",
-    "stirling1_signed",
-    "stirling2",
-    "verify",
-    "__version__",
-]

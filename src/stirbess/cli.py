@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from . import families, identities, triangles
+from . import triangles
 
 TRIANGLE_FAMILIES = (*triangles.RECURRENCES, "gs")
 POLY_KINDS = ("pn", "pn-closed", "bessel-y", "bessel-theta", "chebyshev")
@@ -305,6 +305,8 @@ def _bipoly_output(args, poly) -> _Output:
 
 
 def _cmd_poly(args) -> int | _Output:
+    from . import families
+
     pn = args.which in ("pn", "pn-closed")
     if pn and args.n < 1:
         return _usage_error("pn variants require --n >= 1")
@@ -376,11 +378,22 @@ def _report_lines(reports):
             yield f"      first counterexample {ce.params}: lhs={ce.lhs} rhs={ce.rhs}"
 
 
+# verify --all --n-max 100, 120, 140 and 160 took about 21, 36, 66 and 119 s on
+# one core (2 cores, Python 3.11.7), so --n-max above this, under a minute, is refused.
+MAX_VERIFY_N = 120
+
+
 def _cmd_verify(args) -> int | _Output:
+    from . import identities
+
     if args.all and args.ids:
         return _usage_error("pass identity ids or --all, not both")
     if not args.all and not args.ids:
         return _usage_error("no identities selected (pass ids or --all)")
+    if not 1 <= args.n_max <= MAX_VERIFY_N:
+        return _usage_error(
+            f"verify --n-max must be between 1 and {MAX_VERIFY_N}, under a minute of work for --all"
+        )
     selection = "all" if args.all else args.ids
     try:
         jobs = _default_jobs(args.jobs)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import io
@@ -185,6 +186,31 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "always-fails", "--jobs", "1")
         assert code == 1
         assert "FAIL" in out and "counterexample" in out
+
+    def test_n_max_cap(self, capsys, monkeypatch):
+        def not_run(n_max, selection, jobs):
+            raise AssertionError(f"ran the suite to n = {n_max}")
+
+        monkeypatch.setattr(identities, "run_suite", not_run)
+        assert cli.MAX_VERIFY_N == 120
+        for n_max in (cli.MAX_VERIFY_N + 1, 10**9):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "verify", "--all", "--n-max", str(n_max))
+            assert time.perf_counter() - start < 2
+            assert code == 2 and out == ""
+            assert err.startswith("stirbess: error: ") and str(cli.MAX_VERIFY_N) in err
+        reached = []
+        monkeypatch.setattr(identities, "run_suite", lambda n_max, selection, jobs: reached.append(n_max) or [])
+        code, out, _ = run_cli(capsys, "verify", "--all", "--n-max", str(cli.MAX_VERIFY_N), "--format", "json")
+        assert code == 0 and json.loads(out) == [] and reached == [cli.MAX_VERIFY_N]
+
+    def test_n_max_checked_before_the_pool(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        code, out, err = run_cli(capsys, "verify", "--all", "--n-max", "0", "--jobs", "2")
+        assert code == 2 and out == "" and "--n-max" in err
 
 
 class TestSimulate:
@@ -422,17 +448,26 @@ def test_exact_commands_do_not_import_numpy():
     code = (
         "import io, sys\n"
         "from contextlib import redirect_stdout\n"
-        "import stirbess.cli\n"
-        "assert 'numpy' not in sys.modules, 'import stirbess.cli'\n"
-        "from stirbess import identities, families, triangles\n"
-        "assert 'numpy' not in sys.modules, 'import identities, families, triangles'\n"
-        "for argv in ('triangle bessel-b --n 20 --format csv', 'poly pn --n 6 --format json',\n"
-        "             'verify --all --n-max 6 --jobs 1 --format json'):\n"
+        "def loaded():\n"
+        "    return {m for m in sys.modules if m.startswith('stirbess.')}\n"
+        "def run(argv):\n"
         "    with redirect_stdout(io.StringIO()):\n"
         "        assert stirbess.cli.main(argv.split()) == 0, argv\n"
         "    assert 'numpy' not in sys.modules, argv\n"
-        "assert 'concurrent.futures' not in sys.modules, 'the pools are imported only to start one'\n"
         "import stirbess\n"
+        "assert not loaded(), ('import stirbess', loaded())\n"
+        "assert stirbess.triangles is sys.modules['stirbess.triangles']\n"
+        "import stirbess.cli\n"
+        "assert 'numpy' not in sys.modules, 'import stirbess.cli'\n"
+        "assert loaded() == {'stirbess.cli', 'stirbess.triangles', 'stirbess.exactnum', 'stirbess.polys'}, loaded()\n"
+        "run('triangle bessel-b --n 20 --format csv')\n"
+        "assert not loaded() & {'stirbess.identities', 'stirbess.families'}, ('triangle', loaded())\n"
+        "run('poly pn --n 6 --format json')\n"
+        "assert 'stirbess.families' in loaded() and 'stirbess.identities' not in loaded(), ('poly', loaded())\n"
+        "run('verify --all --n-max 6 --jobs 1 --format json')\n"
+        "from stirbess import identities, families, triangles\n"
+        "assert 'numpy' not in sys.modules, 'import identities, families, triangles'\n"
+        "assert 'concurrent.futures' not in sys.modules, 'the pools are imported only to start one'\n"
         "assert stirbess.SimConfig and stirbess.estimate_moments and stirbess.estimate_moments_at\n"
         "assert stirbess.SimResult\n"
         "assert 'numpy' in sys.modules\n"
