@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--all", action="store_true", help="run every registered identity")
     p_ver.add_argument("--n-max", type=int, default=20)
     p_ver.add_argument("--jobs", type=int, default=None, help="worker processes (default: all usable cores)")
-    p_ver.add_argument("--timings", action="store_true", help="include elapsed_ms in json/csv output")
+    p_ver.add_argument("--timings", action="store_true", help="include elapsed_ms and cases in json/csv output")
     p_ver.add_argument("--format", choices=FORMATS, default="table")
 
     p_sim = sub.add_parser("simulate", help="skew random-walk moment estimation")
@@ -351,6 +351,7 @@ def _report_dict(report: identities.IdentityReport, timings: bool) -> dict:
         d["counterexample"] = {"params": _jsonable(ce.params), "lhs": ce.lhs, "rhs": ce.rhs}
     if timings:
         d["elapsed_ms"] = round(report.elapsed_ms, 3)
+        d["cases"] = report.cases
     return d
 
 
@@ -365,7 +366,7 @@ def _report_row(report: identities.IdentityReport, timings: bool) -> list:
         ce.rhs if ce else "",
     ]
     if timings:
-        row.append(f"{report.elapsed_ms:.3f}")
+        row += [f"{report.elapsed_ms:.3f}", report.cases]
     return row
 
 
@@ -378,8 +379,9 @@ def _report_lines(reports):
             yield f"      first counterexample {ce.params}: lhs={ce.lhs} rhs={ce.rhs}"
 
 
-# verify --all --n-max 100, 120, 140 and 160 took about 21, 36, 66 and 119 s on
-# one core (2 cores, Python 3.11.7), so --n-max above this, under a minute, is refused.
+# verify --all --n-max 100, 120 and 140 took about 13, 26 and 38 s on one core
+# (2 cores, Python 3.11.7), growing about as n^3, so --n-max above this, about
+# half a minute, is refused.
 MAX_VERIFY_N = 120
 
 
@@ -404,7 +406,7 @@ def _cmd_verify(args) -> int | _Output:
         0 if all(r.passed for r in reports) else 1,
         lines=_report_lines(reports),
         payload=lambda: [_report_dict(r, args.timings) for r in reports],
-        header=["id", "range", "status", "params", "lhs", "rhs"] + (["elapsed_ms"] if args.timings else []),
+        header=["id", "range", "status", "params", "lhs", "rhs"] + (["elapsed_ms", "cases"] if args.timings else []),
         rows=(_report_row(r, args.timings) for r in reports),
     )
 

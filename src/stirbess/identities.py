@@ -11,7 +11,9 @@ runs and worker counts.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +39,7 @@ class IdentityReport:
     status: str  # "pass" | "fail"
     counterexample: Counterexample | None
     elapsed_ms: float
+    cases: int  # cases evaluated, up to and including the counterexample
 
     @property
     def passed(self) -> bool:
@@ -78,6 +81,33 @@ def _s1s2_sum(t: Triangles, n: int, k: int, weight: Callable):
 def _sign(e: int, v):
     """(-1)^e v."""
     return -v if e % 2 else v
+
+
+def _position(axis: Sequence) -> Callable[[object], int]:
+    """A value's position on a fixed case axis, found without hashing it
+    (``Fraction`` does not cache its hash): by id() for the axis's own
+    objects, which the cases carry, else by comparison (say, unpickled)."""
+    axis = tuple(axis)
+    ids = {id(v): i for i, v in enumerate(axis)}  # axis holds its values, so these ids stay theirs
+
+    def position(value) -> int:
+        i = ids.get(id(value))
+        return axis.index(value) if i is None else i
+
+    return position
+
+
+@functools.cache
+def _power_row(p: int, q: int, n: int) -> tuple[int, ...]:
+    """p^i q^(n-i) for i = 0..n: the weights of a sum over the denominator
+    q^n, fixed for each grid point and n."""
+    return tuple(p**i * q ** (n - i) for i in range(n + 1))
+
+
+@functools.cache
+def _binomial_row(n: int) -> tuple[int, ...]:
+    """C(n, 0..n)."""
+    return tuple(math.comb(n, k) for k in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -141,26 +171,31 @@ GS_COMPOSITION_TRIPLES: tuple[tuple[Fraction, Fraction, Fraction], ...] = (
 
 SSS2_Z_VALUES = (Fraction(1), Fraction(-2), Fraction(-1, 2), Fraction(3), Fraction(2, 3))
 
-# family: (s, h, reference); the stirling references read the tables under test
+# family: ((s, h),) of its table, and its reference; the stirling ones read the tables under test
 _GS_SPECIAL = {
-    "bessel-B": (Fraction(-1), Fraction(1), lambda t, n, k: bessel_B(n, k)),
-    "bessel-b": (Fraction(2), Fraction(-1), lambda t, n, k: bessel_b(n, k)),
-    "stirling1": (Fraction(1), Fraction(1), lambda t, n, k: t.stirling1(n, k)),
-    "stirling2": (Fraction(0), Fraction(1), lambda t, n, k: t.stirling2(n, k)),
+    "bessel-B": (((Fraction(-1), Fraction(1)),), lambda t, n, k: bessel_B(n, k)),
+    "bessel-b": (((Fraction(2), Fraction(-1)),), lambda t, n, k: bessel_b(n, k)),
+    "stirling1": (((Fraction(1), Fraction(1)),), lambda t, n, k: t.stirling1(n, k)),
+    "stirling2": (((Fraction(0), Fraction(1)),), lambda t, n, k: t.stirling2(n, k)),
 }
+
+# [position of a][position of s]: the (s, h) of GS_{s;a} and GS_{s;1}
+_GS_SCALING_PAIRS = tuple(tuple(((s, a), (s, 1)) for s in GS_SCALING_S) for a in GS_SCALING_FACTORS)
+_gs_scaling_factor_at, _gs_scaling_s_at = _position(GS_SCALING_FACTORS), _position(GS_SCALING_S)
 
 
 def _gs_scaling_eval(params, t):
     n, k, a, s = params
-    d, rows = t.gs_table(s, 1, n)
-    rhs = Fraction(a.numerator ** (n - k) * rows[n][k], (a.denominator * d) ** (n - k))
-    return t.gs(s, a, n, k), rhs
+    scaled, unit = t.gs_triangles(_GS_SCALING_PAIRS[_gs_scaling_factor_at(a)][_gs_scaling_s_at(s)])
+    rhs = Fraction(a.numerator ** (n - k) * unit.value(n, k), (a.denominator * unit.scale) ** (n - k))
+    return scaled.fraction(n, k), rhs
 
 
 def _gs_special_eval(params, t):
     n, k, fam = params
-    s, h, reference = _GS_SPECIAL[fam]
-    return t.gs(s, h, n, k), reference(t, n, k)
+    pairs, reference = _GS_SPECIAL[fam]
+    (table,) = t.gs_triangles(pairs)
+    return table.fraction(n, k), reference(t, n, k)
 
 
 def gs_composition_identity(triples: Sequence[tuple]) -> Identity:
@@ -175,21 +210,20 @@ def gs_composition_identity(triples: Sequence[tuple]) -> Identity:
         if nu == sigma:
             raise ValueError("composition triple requires nu != sigma (inner parameter)")
 
-    # triple: the (s, h) of its left, inner and outer tables
-    gs_keys = {
-        (s, nu, sigma): ((s / nu, nu), (s / (nu - sigma), nu - sigma), ((s + sigma - nu) / sigma, sigma))
-        for s, nu, sigma in norm
-    }
+    # at each triple's position: the (s, h) of its left, inner and outer tables
+    pairs = tuple(
+        ((s / nu, nu), (s / (nu - sigma), nu - sigma), ((s + sigma - nu) / sigma, sigma)) for s, nu, sigma in norm
+    )
+    position = _position(norm)
 
     def evaluate(params, t):
         n, k, triple = params
-        left_key, inner_key, outer_key = gs_keys[triple]
-        d2, inner = t.gs_table(*inner_key, n)
-        d3, outer = t.gs_table(*outer_key, n)
-        inner = inner[n]
+        left, inner, outer = t.gs_triangles(pairs[position(triple)])
+        d2, d3 = inner.scale, outer.scale
+        inner_row, outer_rows, weight = inner.rows(n)[n], outer.rows(n), _power_row(d2, d3, n)
         # GS2(n,i) GS3(i,k) = inner[i] outer[i][k] / (d2^(n-i) d3^(i-k)), over d2^n d3^(n-k)
-        num = sum(inner[i] * outer[i][k] * d2**i * d3 ** (n - i) for i in range(k, n + 1))
-        return t.gs(*left_key, n, k), Fraction(num, d2**n * d3 ** (n - k))
+        num = sum(inner_row[i] * outer_rows[i][k] * weight[i] for i in range(k, n + 1))
+        return left.fraction(n, k), Fraction(num, d2**n * d3 ** (n - k))
 
     return Identity(
         ident="gs-composition",
@@ -207,15 +241,17 @@ def sss2_identity(z_values: Sequence) -> Identity:
         if z == 0 or z == -1:
             raise ValueError("z must avoid 0 and -1")
 
-    # z: the (s, h) of its table
-    gs_keys = {z: (1 / (z + 1), (z + 1) / z) for z in zs}
+    # at each z's position: ((s, h),) of its table, and z = p/q
+    points = tuple((((1 / (z + 1), (z + 1) / z),), z.numerator, z.denominator) for z in zs)
+    position = _position(zs)
 
     def evaluate(params, t):
         n, k, z = params
-        p, q = z.numerator, z.denominator  # z^i = p^i q^(n-i) / q^n: one integer sum
-        lhs = Fraction(_s1s2_sum(t, n, k, lambda i: p**i * q ** (n - i)), q**n)
-        d, rows = t.gs_table(*gs_keys[z], n)
-        return lhs, Fraction(p**n * rows[n][k], q**n * d ** (n - k))
+        pairs, p, q = points[position(z)]
+        # z^i = p^i q^(n-i) / q^n: one integer sum
+        lhs = Fraction(_s1s2_sum(t, n, k, _power_row(p, q, n).__getitem__), q**n)
+        (table,) = t.gs_triangles(pairs)
+        return lhs, Fraction(p**n * table.value(n, k), q**n * table.scale ** (n - k))
 
     return Identity(
         ident="sss2",
@@ -300,13 +336,13 @@ def _lemma_keys_cases(n_max: int):
 def _lemma_keys_eval(params, t):
     if params[0] == "a":
         _, n, j, i = params
-        s1 = t.rows("stirling1", n + 1)
+        s1, binom = t.rows("stirling1", n + 1), _binomial_row(n)
         lhs = s1[n + 1][n - j + i + 1] * binomial_int(n - j + i, i - 1)
-        rhs = sum(s1[k][i] * s1[n - k + 1][n - j + 1] * binomial_int(n, k - 1) for k in range(i, j + 1))
+        rhs = sum(s1[k][i] * s1[n - k + 1][n - j + 1] * binom[k - 1] for k in range(i, j + 1))
     else:
         _, k, j = params
-        s2 = t.rows("stirling2", k + 1)
-        lhs = sum(s2[i][j] * binomial_int(k, i - 1) for i in range(j, k + 1))
+        s2, binom = t.rows("stirling2", k + 1), _binomial_row(k)
+        lhs = sum(s2[i][j] * binom[i - 1] for i in range(j, k + 1))
         rhs = j * s2[k + 1][j + 1]
     return lhs, rhs
 
@@ -428,7 +464,8 @@ def verify(ident: str | Identity, n_max: int, tables: Triangles | None = None) -
 
     ``ident`` is a registry id or an ``Identity``, such as one built by
     ``gs_composition_identity``, ``sss2_identity`` or ``hagen_rothe_identity``.
-    The report carries the first failing case in case order, if any.
+    The report carries the first failing case in case order, if any, and
+    the number of cases evaluated, that one included.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -439,7 +476,8 @@ def verify(ident: str | Identity, n_max: int, tables: Triangles | None = None) -
     t = tables if tables is not None else triangles.DEFAULT
     start = time.perf_counter()
     counterexample = None
-    for params in ident.cases(n_max):
+    cases = 0
+    for cases, params in enumerate(ident.cases(n_max), 1):
         lhs, rhs = ident.evaluate(params, t)
         if lhs != rhs:
             counterexample = Counterexample(params=params, lhs=str(lhs), rhs=str(rhs))
@@ -451,6 +489,7 @@ def verify(ident: str | Identity, n_max: int, tables: Triangles | None = None) -
         status="fail" if counterexample else "pass",
         counterexample=counterexample,
         elapsed_ms=elapsed_ms,
+        cases=cases,
     )
 
 

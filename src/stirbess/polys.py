@@ -13,6 +13,7 @@ it has no addition.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -166,13 +167,14 @@ class BiPoly:
     Canonical form stores no zero coefficients.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_integer_form")
 
     def __init__(self, terms: Mapping[tuple[int, int], Rational] | None = None):
         terms = terms or {}
         if any(i < 0 or j < 0 for i, j in terms):
             raise ValueError("monomial exponents must be nonnegative")
         self._terms = {key: c for key, c in terms.items() if c}
+        self._integer_form = None  # see substitute_z
 
     @classmethod
     def x(cls) -> "BiPoly":
@@ -224,21 +226,31 @@ class BiPoly:
         denominators, each x power sums c * z0^j in integers as
         (L c) * p^j q^(d-j) over L q^d, and is made one ``Fraction``.  A
         power stays ``int`` when every term at it is an int coefficient
-        times an int power of z0, as the term-by-term sum would give.
+        times an int power of z0, as the term-by-term sum would give.  The
+        integer form (L, d and each x power's z powers and L c) is made on
+        the first call and kept, as the polynomial is immutable.
         """
-        d = max(self.degree_z, 0)
+        if self._integer_form is None:
+            den = math.lcm(*(c.denominator for c in self._terms.values()))
+            by_x: list[list] = [[] for _ in range(self.degree_x + 1)]
+            for (i, j), c in self._terms.items():
+                by_x[i].append((j, c))
+            self._integer_form = den, max(self.degree_z, 0), [(
+                tuple(j for j, _ in terms),
+                tuple(c.numerator * (den // c.denominator) for _, c in terms),
+                all(isinstance(c, int) for _, c in terms),  # int coefficients only
+                not any(j for j, _ in terms),  # z^0 only
+            ) for terms in by_x]
+        den, d, rows = self._integer_form
         p, q = z0.numerator, z0.denominator
         zq = [p**j * q ** (d - j) for j in range(d + 1)]  # q^d z0^j
-        den = math.lcm(*(c.denominator for c in self._terms.values()))
-        num = [0] * (self.degree_x + 1)
-        is_int = [True] * (self.degree_x + 1)
         z_int = isinstance(z0, int)
-        for (i, j), c in self._terms.items():
-            num[i] += c.numerator * (den // c.denominator) * zq[j]
-            if not isinstance(c, int) or (j and not z_int):
-                is_int[i] = False
         scale = den * q**d
-        return UniPoly(v // scale if whole else Fraction(v, scale) for v, whole in zip(num, is_int))
+        out = []
+        for js, cs, int_coeffs, z_free in rows:
+            v = sum(map(operator.mul, cs, map(zq.__getitem__, js)))
+            out.append(v // scale if int_coeffs and (z_int or z_free) else Fraction(v, scale))
+        return UniPoly(out)
 
     def __call__(self, x0: Rational, z0: Rational) -> Rational:
         return self.substitute_z(z0)(x0)

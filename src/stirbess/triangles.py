@@ -24,15 +24,16 @@ families), row n holds D^(n-k) T(n, k), which satisfies
 
 a recurrence with integer coefficients.  ``Triangles`` holds one for each
 integral family in ``RECURRENCES`` and returns their rows with
-``Triangles.rows``.  It holds one more per generalized-Stirling pair (s, h):
-``Triangles.gs_table`` returns D and the integer rows for exact sums over a
-common denominator, and ``Triangles.gs_rows`` and ``Triangles.gs`` give
-``Fraction`` views of them, GS(n, k) = Fraction(row n [k], D^(n-k)).
+``Triangles.rows``.  It holds one more per generalized-Stirling pair (s, h),
+returned by ``Triangles.gs_triangle``, whose D and integer rows serve exact
+sums over a common denominator; ``Triangles.gs_rows`` and ``Triangles.gs``
+give ``Fraction`` views of them, GS(n, k) = Fraction(row n [k], D^(n-k)).
 
 Bessel numbers of the first kind b(n, k) and second kind B(n, k), and the
 Lah numbers L(n, k), also have module functions computing their factorial
-closed forms.  The identity suite uses those as its references, so its
-checks do not rest on the recurrence they are compared with.
+closed forms, b and B memoized.  The identity suite uses those as its
+references, so its checks do not rest on the recurrence they are compared
+with.
 
 Entries outside 0 <= k <= n are implicitly 0, with the (0, 0) = 1
 convention, so summation identities can run with free index ranges.
@@ -41,6 +42,7 @@ Rows are sealed as tuples when built.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -77,7 +79,15 @@ class RecurrenceTriangle:
         row = self.rows(n)[n]
         return row[k] if 0 <= k <= n else 0
 
+    def fraction(self, n: int, k: int) -> Fraction:
+        """T(n, k) itself, D^(n-k) T(n, k) over D^(n-k); 0 outside 0 <= k <= n."""
+        v = self.value(n, k)
+        return Fraction(v, self.scale ** (n - k)) if 0 <= k <= n else Fraction(0)
 
+
+# b and B keep their last 2^14 values, more than the identity suite's sums read
+# at n_max = 120 (10,982 and 7,381 arguments), each many times
+@functools.lru_cache(maxsize=1 << 14)
 def bessel_b(n: int, k: int) -> int:
     """Bessel number of the first kind (signed).
 
@@ -97,6 +107,7 @@ def bessel_b(n: int, k: int) -> int:
     return -q if (n - k) % 2 else q
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def bessel_B(n: int, k: int) -> int:
     """Bessel number of the second kind.
 
@@ -151,6 +162,7 @@ class Triangles:
         self._tables = {family: RecurrenceTriangle(a, b) for family, (a, b) in RECURRENCES.items()}
         self._stirling1, self._stirling2 = self._tables["stirling1"], self._tables["stirling2"]
         self._gs: dict[tuple[Rational, Rational], RecurrenceTriangle] = {}
+        self._gs_by_id: dict[int, tuple[tuple, tuple[RecurrenceTriangle, ...]]] = {}
 
     def stirling1(self, n: int, k: int) -> int:
         """Unsigned Stirling number of the first kind (cycle counts)."""
@@ -167,10 +179,9 @@ class Triangles:
         """Rows 0..n of a family in ``RECURRENCES``; row m holds T(m, 0..m)."""
         return self._tables[family].rows(n)[: n + 1]
 
-    def gs_table(self, s: Rational, h: Rational, n: int) -> tuple[int, list[tuple[int, ...]]]:
-        """(D, rows) of the generalized Stirling table with parameters (s, h),
-        h != 0: the sealed integer rows, at least rows 0..n, where row m holds
-        D^(m-k) GS(m, k) for k = 0..m."""
+    def gs_triangle(self, s: Rational, h: Rational) -> RecurrenceTriangle:
+        """The generalized Stirling table with parameters (s, h), h != 0: row
+        m of its integer rows holds D^(m-k) GS(m, k) for k = 0..m."""
         # keyed by the values as passed: equal ints, Fractions and floats hash
         # alike, and a caller passing the same objects again skips __eq__
         table = self._gs.get((s, h))
@@ -179,18 +190,27 @@ class Triangles:
             if fh == 0:
                 raise ValueError("parameter h must be nonzero")
             table = self._gs[s, h] = RecurrenceTriangle(fh * fs, fh - fh * fs)
-        return table.scale, table.rows(n)
+        return table
+
+    def gs_triangles(self, pairs: tuple[tuple[Rational, Rational], ...]) -> tuple[RecurrenceTriangle, ...]:
+        """``gs_triangle(s, h)`` for each (s, h) in ``pairs``, found by the id
+        of ``pairs`` after the first call, as ``Fraction`` does not cache its
+        hash; so pass a fixed tuple, such as an identity's constant."""
+        entry = self._gs_by_id.get(id(pairs))
+        if entry is None:  # the entry holds pairs, so no other object gets its id
+            entry = self._gs_by_id[id(pairs)] = (pairs, tuple(self.gs_triangle(s, h) for s, h in pairs))
+        return entry[1]
 
     def gs_rows(self, s: Rational, h: Rational, n: int) -> list[tuple[Fraction, ...]]:
         """Rows 0..n of the generalized Stirling table with parameters (s, h),
         h != 0, as ``Fraction``; row m holds GS(m, 0..m)."""
-        d, rows = self.gs_table(s, h, n)
+        table = self.gs_triangle(s, h)
+        d, rows = table.scale, table.rows(n)
         return [tuple(Fraction(v, d ** (m - k)) for k, v in enumerate(row)) for m, row in enumerate(rows[: n + 1])]
 
     def gs(self, s: Rational, h: Rational, n: int, k: int) -> Fraction:
         """Generalized Stirling number with parameters (s, h), h != 0."""
-        d, rows = self.gs_table(s, h, n)
-        return Fraction(rows[n][k], d ** (n - k)) if 0 <= k <= n else Fraction(0)
+        return self.gs_triangle(s, h).fraction(n, k)
 
 
 DEFAULT = Triangles()

@@ -1,5 +1,9 @@
+import csv
+import gc
 import hashlib
 import json
+import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -275,6 +279,58 @@ class TestMutationSensitivity:
         assert report.counterexample.params == min(failures) == (7, 4, Fraction(2, 3))
 
 
+GS_IDS = ("gs-scaling", "gs-special", "gs-composition", "sss2")
+
+
+class TestGsTableLookup:
+    def test_no_fraction_hashed_per_case(self, monkeypatch):
+        # Fraction does not cache its hash, so the evaluators find their tables
+        # by grid position: only building a table set's handles hashes any
+        calls = [0]
+        fraction_hash = Fraction.__hash__
+
+        def counting_hash(self):
+            calls[0] += 1
+            return fraction_hash(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+        counts = []
+        for n_max in (6, 12):
+            calls[0] = 0
+            tables = Triangles()
+            assert all(verify(ident_id, n_max, tables).passed for ident_id in GS_IDS)
+            counts.append(calls[0])
+        assert counts[0] == counts[1]
+
+    def test_handles_belong_to_one_table_set(self):
+        clean = Triangles()
+        assert all(verify(ident_id, 10, clean).passed for ident_id in GS_IDS)
+        corrupted = Triangles()
+        corrupted.gs(0, 1, 12, 0)  # force rows to exist
+        tri = corrupted._gs[(Fraction(0), Fraction(1))]
+        row = list(tri._rows[6])
+        row[3] = -row[3]
+        tri._rows[6] = tuple(row)
+        expected = {"gs-composition": (6, 3, (-2, -1, 1)), "gs-special": (6, 3, "stirling2")}
+        for ident_id, first in expected.items():
+            assert verify(ident_id, 10, corrupted).counterexample.params == first
+        assert all(verify(ident_id, 10, clean).passed for ident_id in GS_IDS)
+        ref = weakref.ref(corrupted)
+        del corrupted, tri
+        gc.collect()
+        assert ref() is None, "a cache outside the Triangles holds it alive"
+
+    def test_unpickled_params_evaluate_alike(self):
+        # a counterexample from a pool worker carries copies of the grid's values
+        tables = Triangles()
+        for ident_id in GS_IDS:
+            identity = REGISTRY[ident_id]
+            for params in identity.cases(5):
+                copy = pickle.loads(pickle.dumps(params))
+                assert copy == params and (copy[-1] is not params[-1] or ident_id == "gs-special")
+                assert repr(identity.evaluate(copy, tables)) == repr(identity.evaluate(params, tables))
+
+
 class TestSerialization:
     def test_json_round_trip_and_no_timing_by_default(self, capsys):
         assert main(["verify", "thm1", "lah", "--n-max", "6", "--format", "json", "--jobs", "1"]) == 0
@@ -287,6 +343,22 @@ class TestSerialization:
         assert main(["verify", "thm1", "--n-max", "4", "--format", "json", "--timings", "--jobs", "1"]) == 0
         parsed = json.loads(capsys.readouterr().out)
         assert "elapsed_ms" in parsed[0]
+
+    def test_case_counts_with_timings(self, capsys):
+        argv = ["verify", "--all", "--n-max", "4", "--timings", "--jobs", "1", "--format"]
+        counts = [len(list(REGISTRY[ident_id].cases(4))) for ident_id in IDENTITY_IDS]
+        assert main(argv + ["json"]) == 0
+        parsed = json.loads(capsys.readouterr().out)
+        assert [list(entry)[-2:] for entry in parsed] == [["elapsed_ms", "cases"]] * len(parsed)
+        assert [entry["cases"] for entry in parsed] == counts
+        assert main(argv + ["csv"]) == 0
+        header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+        assert header[-2:] == ["elapsed_ms", "cases"]
+        assert [int(row[-1]) for row in rows] == counts
+
+    def test_case_count_stops_at_the_counterexample(self):
+        report = verify("inversion", 10, _corrupted_tables(6, 3))
+        assert report.cases == list(REGISTRY["inversion"].cases(10)).index((6, 1)) + 1
 
     def test_counterexample_serialized(self, capsys, monkeypatch):
         monkeypatch.setattr(triangles, "DEFAULT", _corrupted_tables(6, 3))

@@ -3,21 +3,33 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from stirbess.families import pn_recurrence
+from stirbess.identities import _PN_SLICES
 from stirbess.polys import BiPoly, UniPoly
 
 coeffs = st.fractions(max_denominator=12, min_value=-9, max_value=9)
 unipolys = st.lists(coeffs, max_size=6).map(UniPoly)
 points = st.fractions(max_denominator=8, min_value=-5, max_value=5)
+int_or_fraction_points = st.one_of(st.integers(-5, 5), points)
 
 
 @st.composite
-def bipolys(draw):
+def bipolys(draw, coefficients=coeffs):
     n_terms = draw(st.integers(min_value=0, max_value=6))
     terms = {}
     for _ in range(n_terms):
         key = (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
-        terms[key] = draw(coeffs)
+        terms[key] = draw(coefficients)
     return BiPoly(terms)
+
+
+def substitute_term_by_term(p: BiPoly, z0) -> UniPoly:
+    """sum c z0^j at each power of x, one term at a time; z0^0 is the exact
+    1, so an int coefficient there stays int."""
+    out = [0] * (p.degree_x + 1)
+    for (i, j), c in p.items():
+        out[i] += c * z0**j if j else c
+    return UniPoly(out)
 
 
 class TestUniPoly:
@@ -113,6 +125,18 @@ class TestBiPoly:
     @given(bipolys(), bipolys(), points)
     def test_substitution_is_a_homomorphism(self, p, q, z0):
         assert (p * q).substitute_z(z0) == p.substitute_z(z0) * q.substitute_z(z0)
+
+    @given(bipolys(st.one_of(st.integers(-9, 9), coeffs)), int_or_fraction_points, int_or_fraction_points)
+    def test_substitute_z_matches_term_by_term_sum(self, p, z0, z1):
+        # by repr, so each coefficient's type (int or Fraction) must match too;
+        # each z twice, as the polynomial keeps its integer form between calls
+        for z in (z0, z1, z0, z1):
+            assert repr(p.substitute_z(z)) == repr(substitute_term_by_term(p, z))
+
+    def test_substitute_z_on_moment_polynomials(self):
+        for n in range(1, 25):
+            for z, _ in _PN_SLICES.values():
+                assert repr(pn_recurrence(n).substitute_z(z)) == repr(substitute_term_by_term(pn_recurrence(n), z))
 
     @given(bipolys(), points, points)
     def test_full_evaluation_matches_staged_evaluation(self, p, x0, z0):
