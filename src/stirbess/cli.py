@@ -10,6 +10,7 @@ too long to print.  Data goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -91,13 +92,17 @@ def _usage_error(message: str) -> int:
 
 
 def _default_jobs(jobs: int | None) -> int:
+    """``jobs`` up to one per CPU of the machine, as a pool starts all its
+    workers at once and output does not depend on their number; by default
+    one per CPU this process may run on."""
+    cpus = os.cpu_count() or 1
     if jobs is not None:
         if jobs < 1:
             raise ValueError("jobs must be positive")
-        return jobs
+        return min(jobs, cpus)
     if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
         return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return cpus
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +195,7 @@ def _stirling2_lower_bound(n: int) -> int:
 # multiple c such that it has more than `limit` digits by n = c * limit
 # (limit >= 640).  When it is too long to print, so is the row or polynomial,
 # and --n is refused before any is built; only entry min(n, c * limit) is
-# checked, so even a huge --n is refused at once.  gs is checked once built.
+# checked, so even a huge --n is refused at once.  gs has _gs_unprintable.
 _ROW_ENTRY = {
     "stirling1": (lambda n: math.factorial(n - 1), 2),  # s(n, 1)
     "stirling1-signed": (lambda n: math.factorial(n - 1), 2),
@@ -227,6 +232,21 @@ def _unprintable(name: str, n: int) -> bool:
     return _too_long_to_print([entry(min(n, c * limit))])
 
 
+def _gs_unprintable(s: Fraction, h: Fraction, n: int) -> bool:
+    """Whether an entry GS(m, 1) with m <= min(n, 2 * limit) is too long to
+    print, found without building a row: GS(1, 1) = 1 and GS(m+1, 1) =
+    GS(m, 1) (h*s*m + h - h*s).  Each is printed in its row as the reduced
+    ``Fraction`` carried here, so this refuses only what printing would, and
+    stops at the first entry that passes the limit, or at a 0, after which
+    the column stays 0.  A first column that stays short, as the 1s of s = 0
+    and the 0s of s = -1 at h = 1, is not refused here; those rows are
+    checked once built."""
+    a, b = h * s, h - h * s
+    steps = range(1, min(n, 2 * sys.get_int_max_str_digits()))
+    column = itertools.accumulate(steps, lambda value, m: value * (a * m + b), initial=Fraction(1))
+    return _too_long_to_print(itertools.takewhile(bool, column))
+
+
 def _cell(value) -> int | str:
     return value if isinstance(value, int) else str(value)
 
@@ -242,7 +262,7 @@ def _cmd_triangle(args) -> int | _Output:
     n_max = args.n_max
     if n_max < 0:
         return _usage_error("--n must be nonnegative")
-    if _unprintable(args.family, n_max):
+    if _unprintable(args.family, n_max) or (args.family == "gs" and _gs_unprintable(args.s, args.h, n_max)):
         return _too_long_error()
     if args.family == "gs":
         rows = triangles.DEFAULT.gs_rows(args.s, args.h, n_max)

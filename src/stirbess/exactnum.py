@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable
 
 from .polys import Rational, UniPoly
 
@@ -41,6 +42,14 @@ def binomial_rat(a: Rational, k: int) -> Fraction:
     return Fraction(math.prod(p - j * q for j in range(k)), q**k * factorial(k))
 
 
+def _linear_product(constants: Iterable[int]) -> UniPoly:
+    """(X + c) for each c in ``constants``, multiplied out."""
+    prod = UniPoly((1,))
+    for c in constants:
+        prod = prod * UniPoly((c, 1))
+    return prod
+
+
 def binomial_poly_upper(c: int, k: int) -> UniPoly:
     """C(c + Z, k) as a degree-k polynomial in the formal variable Z.
 
@@ -49,10 +58,7 @@ def binomial_poly_upper(c: int, k: int) -> UniPoly:
     """
     if k < 0:
         raise ValueError("lower index must be nonnegative")
-    prod = UniPoly((1,))
-    for j in range(k):
-        prod = prod * UniPoly((c - j, 1))
-    return prod * Fraction(1, factorial(k))
+    return _linear_product(c - j for j in range(k)) * Fraction(1, factorial(k))
 
 
 def rising_factorial_poly(n: int) -> UniPoly:
@@ -63,17 +69,11 @@ def rising_factorial_poly(n: int) -> UniPoly:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    prod = UniPoly((1,))
-    for j in range(n):
-        prod = prod * UniPoly((j, 1))
-    return prod
+    return _linear_product(range(n))
 
 
 def falling_factorial_poly(n: int) -> UniPoly:
     """X (X-1) ... (X-n+1), expanded."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    prod = UniPoly((1,))
-    for j in range(n):
-        prod = prod * UniPoly((-j, 1))
-    return prod
+    return _linear_product(-j for j in range(n))

@@ -91,14 +91,11 @@ def pn_closed_form(n: int, tables: Triangles | None = None) -> BiPoly:
         raise ValueError("n must be positive")
     t = tables if tables is not None else triangles.DEFAULT
     denom = factorial(n - 1)
-    terms: dict[tuple[int, int], Fraction] = {}
-    for k in range(1, n + 1):
-        s1 = t.stirling1(n, k)
-        for j in range(1, k + 1):
-            c = Fraction((-1) ** (j - 1) * factorial(j - 1) * s1 * t.stirling2(k, j), denom)
-            if c:
-                terms[(j, k - 1)] = c
-    return BiPoly(terms)
+    s1, s2 = t.rows("stirling1", n)[n], t.rows("stirling2", n)
+    return BiPoly({
+        (j, k - 1): Fraction((-1) ** (j - 1) * factorial(j - 1) * s1[k] * s2[k][j], denom)
+        for k in range(1, n + 1) for j in range(1, k + 1)
+    })
 
 
 def pn_skew_bm(n: int) -> UniPoly:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import families, triangles
-from .exactnum import binomial_int, binomial_rat, factorial, rising_factorial_poly
+from .exactnum import binomial_rat, factorial, rising_factorial_poly
 from .polys import UniPoly
 from .triangles import Triangles, bessel_B, bessel_b, lah
 
@@ -72,10 +72,11 @@ def _grid(n_from: int, k_from: int | None, *axes: Sequence):
     return cases
 
 
-def _s1s2_sum(t: Triangles, n: int, k: int, weight: Callable):
-    """The paper's sum: sum_i s1(n,i) s2(i,k) weight(i)."""
-    s1, s2 = t.rows("stirling1", n)[n], t.rows("stirling2", n)
-    return sum(s1[i] * s2[i][k] * weight(i) for i in range(k, n + 1))
+def _s1s2_sum(t: Triangles, n: int, k: int, p: int, q: int) -> int:
+    """The paper's sum at z = p/q, over the denominator q^n:
+    sum_i s1(n,i) s2(i,k) p^i q^(n-i)."""
+    s1, s2, weight = t.rows("stirling1", n)[n], t.rows("stirling2", n), _power_row(p, q, n)
+    return sum(s1[i] * s2[i][k] * weight[i] for i in range(k, n + 1))
 
 
 def _sign(e: int, v):
@@ -115,22 +116,23 @@ def _binomial_row(n: int) -> tuple[int, ...]:
 
 def _thm1_eval(params, t):
     n, k = params
-    return _s1s2_sum(t, n, k, lambda i: (-2) ** (n - i)), bessel_b(n, k)
+    return _s1s2_sum(t, n, k, 1, -2), bessel_b(n, k)
 
 
 def _thm2_eval(params, t):
     n, k = params
-    return _s1s2_sum(t, n, k, lambda i: (-2) ** (i - k)), _sign(n - k, bessel_B(n, k))
+    # (-2)^(i-k) = (-2)^i / (-2)^k, and every term has i >= k
+    return _s1s2_sum(t, n, k, -2, 1) // (-2) ** k, _sign(n - k, bessel_B(n, k))
 
 
 def _inversion_eval(params, t):
     n, k = params
-    return _s1s2_sum(t, n, k, lambda i: (-1) ** (n - i)), 1 if n == k else 0
+    return _s1s2_sum(t, n, k, 1, -1), 1 if n == k else 0
 
 
 def _lah_eval(params, t):
     n, k = params
-    return _s1s2_sum(t, n, k, lambda i: 1), lah(n, k)
+    return _s1s2_sum(t, n, k, 1, 1), lah(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +250,7 @@ def sss2_identity(z_values: Sequence) -> Identity:
     def evaluate(params, t):
         n, k, z = params
         pairs, p, q = points[position(z)]
-        # z^i = p^i q^(n-i) / q^n: one integer sum
-        lhs = Fraction(_s1s2_sum(t, n, k, _power_row(p, q, n).__getitem__), q**n)
+        lhs = Fraction(_s1s2_sum(t, n, k, p, q), q**n)
         (table,) = t.gs_triangles(pairs)
         return lhs, Fraction(p**n * table.value(n, k), q**n * table.scale ** (n - k))
 
@@ -318,8 +319,9 @@ def _gould_cases(n_max: int):
 
 def _gould_eval(params, t):
     n, k = params
-    lhs = sum(binomial_int(n, 2 * m) * binomial_int(m, k) for m in range(k, n // 2 + 1))
-    rhs = Fraction(2) ** (n - 2 * k - 1) * binomial_int(n - k, k) * Fraction(n, n - k)
+    binom = _binomial_row(n)
+    lhs = sum(binom[2 * m] * _binomial_row(m)[k] for m in range(k, n // 2 + 1))
+    rhs = Fraction(2) ** (n - 2 * k - 1) * _binomial_row(n - k)[k] * Fraction(n, n - k)
     return lhs, rhs
 
 
@@ -337,7 +339,7 @@ def _lemma_keys_eval(params, t):
     if params[0] == "a":
         _, n, j, i = params
         s1, binom = t.rows("stirling1", n + 1), _binomial_row(n)
-        lhs = s1[n + 1][n - j + i + 1] * binomial_int(n - j + i, i - 1)
+        lhs = s1[n + 1][n - j + i + 1] * _binomial_row(n - j + i)[i - 1]
         rhs = sum(s1[k][i] * s1[n - k + 1][n - j + 1] * binom[k - 1] for k in range(i, j + 1))
     else:
         _, k, j = params
@@ -389,16 +391,15 @@ def _theta_b_eval(params, t):
 
 def _rising_eval(params, t):
     (n,) = params
-    rhs = UniPoly(t.stirling1(n, k) for k in range(n + 1))
-    return rising_factorial_poly(n), rhs
+    return rising_factorial_poly(n), UniPoly(t.rows("stirling1", n)[n])
 
 
 def _falling_eval(params, t):
     (n,) = params
     acc = UniPoly()
     falling = UniPoly((1,))  # x(x-1)...(x-k+1)
-    for k in range(n + 1):
-        acc = acc + t.stirling2(n, k) * falling
+    for k, s2 in enumerate(t.rows("stirling2", n)[n]):
+        acc = acc + s2 * falling
         falling = falling * UniPoly((-k, 1))
     return acc, UniPoly.monomial(n)
 

@@ -205,8 +205,7 @@ class Triangles:
         """Rows 0..n of the generalized Stirling table with parameters (s, h),
         h != 0, as ``Fraction``; row m holds GS(m, 0..m)."""
         table = self.gs_triangle(s, h)
-        d, rows = table.scale, table.rows(n)
-        return [tuple(Fraction(v, d ** (m - k)) for k, v in enumerate(row)) for m, row in enumerate(rows[: n + 1])]
+        return [tuple(table.fraction(m, k) for k in range(len(row))) for m, row in enumerate(table.rows(n)[: n + 1])]
 
     def gs(self, s: Rational, h: Rational, n: int, k: int) -> Fraction:
         """Generalized Stirling number with parameters (s, h), h != 0."""

@@ -370,6 +370,32 @@ class TestValuesTooLargeToPrint:
         with pytest.raises(AssertionError, match="built row"):
             self.run_at_lowest_limit(capsys, "triangle", family, "--n", str(n - 1))
 
+    @pytest.mark.parametrize("args", [("--s", "1/2", "--h", "-3/2", "--n", "100000"),
+                                      ("--s", "1", "--h", "1", "--n", "3000", "--format", "csv")])
+    def test_gs_refused_before_it_is_built(self, capsys, monkeypatch, args):
+        def not_built(table, row):
+            raise AssertionError(f"built row {row}")
+
+        monkeypatch.setattr(triangles.RecurrenceTriangle, "rows", not_built)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        start = time.perf_counter()
+        self.assert_refused(*run_cli(capsys, "triangle", "gs", *args))
+        assert time.perf_counter() - start < 2.0
+
+    def test_gs_refused_from_its_first_unprintable_first_column_entry(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
+        # GS_{1;1}(m, 1) = (m-1)! first has more than 640 digits at m = 312
+        assert cli._gs_unprintable(Fraction(1), Fraction(1), 312)
+        assert not cli._gs_unprintable(Fraction(1), Fraction(1), 311)
+        # GS_{0;1/10}(m, 1) = 1/10^(m-1): its denominator, at m = 641
+        assert cli._gs_unprintable(Fraction(0), Fraction(1, 10), 641)
+        assert not cli._gs_unprintable(Fraction(0), Fraction(1, 10), 640)
+        # first columns of 1s and of 0s are left to the check after the build
+        for s in (0, -1):
+            assert not cli._gs_unprintable(Fraction(s), Fraction(1), 10**9)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert not cli._gs_unprintable(Fraction(1), Fraction(1), 10**9)
+
     def test_stirling2_refused_from_its_first_unprintable_row(self, capsys, monkeypatch):
         rows = triangles.Triangles().rows("stirling2", 399)
         assert max(rows[398]) < 10**640 <= max(rows[399])
@@ -432,6 +458,16 @@ class TestValuesTooLargeToPrint:
         assert code == 0 and out.splitlines()[-1] == "3,3,1"
         code, out, _ = run_cli(capsys, "poly", "bessel-y", "--n", "3", "--format", "csv")
         assert code == 0 and out.splitlines()[-1] == "3,15"
+
+
+def test_explicit_jobs_capped_at_the_cpu_count(monkeypatch):
+    # a pool forks all its workers at once, so --jobs 1000 must not start 1000
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli._default_jobs(1000) == 2
+    assert cli._default_jobs(None) == 2
+    with pytest.raises(ValueError):
+        cli._default_jobs(0)
 
 
 def test_default_jobs_counts_usable_cpus(monkeypatch):

@@ -7,12 +7,14 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from stirbess import triangles
 from stirbess.cli import main
 from stirbess.identities import (
     REGISTRY,
     IDENTITY_IDS,
+    _s1s2_sum,
     default_hagen_rothe_cases,
     gs_composition_identity,
     hagen_rothe_identity,
@@ -69,6 +71,20 @@ class TestHandCases:
         assert 6 * 1 + 1 * 2 == 8
         # (5,0): sum of even binomials in row 5 = 16
         assert 1 + 10 + 5 == 16
+
+
+_NONZERO = st.integers(min_value=-9, max_value=9).filter(bool)
+
+
+@given(st.integers(min_value=0, max_value=16).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+       _NONZERO, _NONZERO)
+def test_s1s2_sum_is_the_sum_at_p_over_q(nk, p, q):
+    # any z = p/q, beyond the sss2 grid and the theorems' weights (1,-2), (-2,1), (1,-1), (1,1)
+    n, k = nk
+    z = Fraction(p, q)
+    expected = sum(stirling1(n, i) * stirling2(i, k) * z**i for i in range(n + 1)) * q**n
+    got = _s1s2_sum(Triangles(), n, k, p, q)
+    assert type(got) is int and got == expected
 
 
 class TestVerifiersPass:
