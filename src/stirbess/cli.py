@@ -92,17 +92,13 @@ def _usage_error(message: str) -> int:
 
 
 def _default_jobs(jobs: int | None) -> int:
-    """``jobs`` up to one per CPU of the machine, as a pool starts all its
-    workers at once and output does not depend on their number; by default
-    one per CPU this process may run on."""
-    cpus = os.cpu_count() or 1
-    if jobs is not None:
-        if jobs < 1:
-            raise ValueError("jobs must be positive")
-        return min(jobs, cpus)
-    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
-        return len(os.sched_getaffinity(0))
-    return cpus
+    """``jobs`` up to one per CPU this process may run on, as a pool starts
+    all its workers at once and output does not depend on their number; by
+    default that many."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if jobs is not None and jobs < 1:
+        raise ValueError("jobs must be positive")
+    return cpus if jobs is None else min(jobs, cpus)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +137,14 @@ def _too_long_error() -> int:
     )
 
 
+def _jsonable(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
 def _csv_field(value) -> str:
     """``str(value)``, quoted when it holds a comma, a quote or a line break,
     with inner quotes doubled: the default ``csv`` dialect's minimal quoting."""
@@ -177,7 +181,7 @@ def _emit(fmt: str, out: _Output) -> None:
 
 def _stirling2_lower_bound(n: int) -> int:
     """(k^n - k (k-1)^n) // k!, at most S(n, k), for the k that makes it
-    largest (n >= 1).  k! S(n, k) counts the maps of n elements onto k
+    largest; 0 at n = 0.  k! S(n, k) counts the maps of n elements onto k
     blocks: all k^n maps less at most (k-1)^n that miss each block.  Floats
     pick k by scanning the bound's logarithm, which costs less than the exact
     bound; the bound itself is exact."""
@@ -186,69 +190,38 @@ def _stirling2_lower_bound(n: int) -> int:
         missed = k * (1 - 1 / k) ** n
         return n * math.log(k) - math.lgamma(k + 1) + math.log1p(-missed) if missed < 1 else -math.inf
 
-    k = max(range(1, n + 1), key=log_bound)
+    k = max(range(1, n + 1), key=log_bound, default=1)
     return (k**n - k * (k - 1) ** n) // math.factorial(k)
 
 
-# One entry of row n of each triangle family but gs and of polynomial n of
-# each poly kind, or for stirling2 an integer lower bound of one, and a
-# multiple c such that it has more than `limit` digits by n = c * limit
-# (limit >= 640).  When it is too long to print, so is the row or polynomial,
-# and --n is refused before any is built; only entry min(n, c * limit) is
-# checked, so even a huge --n is refused at once.  gs has _gs_unprintable.
-_ROW_ENTRY = {
-    "stirling1": (lambda n: math.factorial(n - 1), 2),  # s(n, 1)
-    "stirling1-signed": (lambda n: math.factorial(n - 1), 2),
-    # more than `limit` digits from the first row with such an entry at limits
-    # 640 and 4300 (n = 399 and 1982); n / limit there falls as limit grows
-    "stirling2": (_stirling2_lower_bound, 1),
-    "lah": (lambda n: triangles.lah(n, 1), 2),  # n!
-    "bessel-b": (lambda n: triangles.bessel_b(n, 1), 2),  # (2n-2)!/(2^(n-1) (n-1)!)
-    "bessel-B": (lambda n: triangles.bessel_B(n, (n + 1) // 2), 2),
-    # the largest coefficient of y_n and of theta_n, (2n)!/(2^n n!)
-    "bessel-y": (lambda n: math.factorial(2 * n) // (math.factorial(n) << n), 1),
-    "bessel-theta": (lambda n: math.factorial(2 * n) // (math.factorial(n) << n), 1),
-    "chebyshev": (lambda n: 1 << (n - 1), 4),  # the leading coefficient of T_n
-    # the denominator of the coefficient 1/(n-1)! of x z^(n-1) in P_n
-    "pn": (lambda n: math.factorial(n - 1), 2),
-    "pn-closed": (lambda n: math.factorial(n - 1), 2),
-}
-
-# poly pn runs the recurrence for P_n, whose cost grows fast with n: --n 160,
-# 200 and 240 took about 25 s, 65 s and 150 s on one core (2 cores, Python
-# 3.11.7), so --n above this, about a minute, is refused; pn-closed prints
-# the same polynomial much sooner.
-MAX_PN_RECURRENCE_N = 200
+def _walk_too_long(a, b, n: int) -> bool:
+    """Whether X_m is too long to print for some m <= min(n, 4 * limit), where
+    X_1 = 1 and X_(m+1) = X_m (a*m + b): the first column T(m, 1) of the
+    triangle with recurrence (a, b), or an entry of polynomial m.  It stops
+    at the first such X_m or at a 0, after which all are 0.  A Fraction is
+    reduced, as printed.  4 * limit reaches chebyshev's 2^(m-1) past the
+    limit, so a huge --n is refused at once."""
+    steps = range(1, min(n, 4 * sys.get_int_max_str_digits()))
+    walk = itertools.accumulate(steps, lambda x, m: x * (a * m + b), initial=1)
+    return _too_long_to_print(itertools.takewhile(bool, walk))
 
 
-def _unprintable(name: str, n: int) -> bool:
-    """Whether entry n of ``_ROW_ENTRY[name]`` shows that row or polynomial n
-    of that family is too long to print; False for a family not in it, for
-    n = 0 and when nothing limits the digits printed."""
+def _triangle_too_long(a, b, n: int) -> bool:
+    """Whether rows 0..n of the triangle with recurrence (a, b) hold an entry
+    too long to print: its first column by ``_walk_too_long``, or a lower
+    bound of an entry of row min(n, limit) or min(n, 2 * limit) where that
+    column stays short.  T(m, k) = b^(m-k) S(m, k) when a = 0, and
+    (b/2)^(m-k) B(m, k) when 2a = -b; with that scale of size >= 1, S(m, k)
+    or B(m, k) is at most the numerator of T(m, k) as a reduced fraction."""
     limit = sys.get_int_max_str_digits()
-    if name not in _ROW_ENTRY or not n or not limit:
-        return False
-    entry, c = _ROW_ENTRY[name]
-    return _too_long_to_print([entry(min(n, c * limit))])
-
-
-def _gs_unprintable(s: Fraction, h: Fraction, n: int) -> bool:
-    """Whether an entry GS(m, 1) with m <= min(n, 2 * limit) is too long to
-    print, found without building a row: GS(1, 1) = 1 and GS(m+1, 1) =
-    GS(m, 1) (h*s*m + h - h*s).  Each is printed in its row as the reduced
-    ``Fraction`` carried here, so this refuses only what printing would, and
-    stops at the first entry that passes the limit, or at a 0, after which
-    the column stays 0.  A first column that stays short, as the 1s of s = 0
-    and the 0s of s = -1 at h = 1, is not refused here; those rows are
-    checked once built."""
-    a, b = h * s, h - h * s
-    steps = range(1, min(n, 2 * sys.get_int_max_str_digits()))
-    column = itertools.accumulate(steps, lambda value, m: value * (a * m + b), initial=Fraction(1))
-    return _too_long_to_print(itertools.takewhile(bool, column))
-
-
-def _cell(value) -> int | str:
-    return value if isinstance(value, int) else str(value)
+    if a == 0 and abs(b) >= 1:
+        bounds = [_stirling2_lower_bound(min(n, limit))]
+    elif 2 * a == -b and abs(b) >= 2:
+        m = min(n, 2 * limit)
+        bounds = [triangles.bessel_B(m, (m + 1) // 2)]
+    else:
+        bounds = []
+    return _walk_too_long(a, b, n) or _too_long_to_print(bounds)
 
 
 def _cmd_triangle(args) -> int | _Output:
@@ -262,19 +235,18 @@ def _cmd_triangle(args) -> int | _Output:
     n_max = args.n_max
     if n_max < 0:
         return _usage_error("--n must be nonnegative")
-    if _unprintable(args.family, n_max) or (args.family == "gs" and _gs_unprintable(args.s, args.h, n_max)):
+    gs = args.family == "gs"
+    a, b = (args.h * args.s, args.h - args.h * args.s) if gs else triangles.RECURRENCES[args.family]
+    if _triangle_too_long(a, b, n_max):
         return _too_long_error()
-    if args.family == "gs":
-        rows = triangles.DEFAULT.gs_rows(args.s, args.h, n_max)
-    else:
-        rows = triangles.DEFAULT.rows(args.family, n_max)
+    rows = triangles.DEFAULT.gs_rows(args.s, args.h, n_max) if gs else triangles.DEFAULT.rows(args.family, n_max)
 
     def payload() -> dict:
         d: dict = {"family": args.family, "n_max": n_max}
-        if args.family == "gs":
+        if gs:
             d["s"] = str(args.s)
             d["h"] = str(args.h)
-        d["rows"] = [[_cell(v) for v in row] for row in rows]
+        d["rows"] = _jsonable(rows)
         return d
 
     return _Output(
@@ -324,6 +296,24 @@ def _bipoly_output(args, poly) -> _Output:
     )
 
 
+# poly pn runs the recurrence for P_n, whose cost grows fast with n: --n 160,
+# 200 and 240 took about 25 s, 65 s and 150 s on one core (2 cores, Python
+# 3.11.7), so --n above this, about a minute, is refused; pn-closed prints
+# the same polynomial much sooner.
+MAX_PN_RECURRENCE_N = 200
+
+# (a, b) of a walk of ``_walk_too_long`` whose X_n is a coefficient of
+# polynomial n, every factor a*m + b of size >= 1, so an unprintable X_m with
+# m < n makes X_n unprintable too
+_POLY_WALK = {
+    "pn": (1, 0),  # (n-1)!, the denominator of 1/(n-1)!, the coefficient of x z^(n-1)
+    "pn-closed": (1, 0),
+    "bessel-y": (2, 1),  # (2n-1)!! = (2n)!/(2^n n!), the largest coefficient
+    "bessel-theta": (2, 1),
+    "chebyshev": (0, 2),  # 2^(n-1), the leading coefficient
+}
+
+
 def _cmd_poly(args) -> int | _Output:
     from . import families
 
@@ -334,7 +324,7 @@ def _cmd_poly(args) -> int | _Output:
         return _usage_error("--z applies only to pn variants")
     if args.n < 0:
         return _usage_error("--n must be nonnegative")
-    if _unprintable(args.which, args.n):
+    if _walk_too_long(*_POLY_WALK[args.which], args.n):
         return _too_long_error()
     if args.which == "pn" and args.n > MAX_PN_RECURRENCE_N:
         return _usage_error(
@@ -355,14 +345,6 @@ def _cmd_poly(args) -> int | _Output:
 
 # ---------------------------------------------------------------------------
 # verify
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
 
 def _report_dict(report: identities.IdentityReport, timings: bool) -> dict:
     d: dict = {"id": report.identity_id, "range": report.range_desc, "status": report.status}

@@ -370,8 +370,14 @@ class TestValuesTooLargeToPrint:
         with pytest.raises(AssertionError, match="built row"):
             self.run_at_lowest_limit(capsys, "triangle", family, "--n", str(n - 1))
 
+    # the last four have first columns that stay short (1s, ±1s, or 0 from row 3),
+    # bounded below by S(m, k) and B(m, k)
     @pytest.mark.parametrize("args", [("--s", "1/2", "--h", "-3/2", "--n", "100000"),
-                                      ("--s", "1", "--h", "1", "--n", "3000", "--format", "csv")])
+                                      ("--s", "1", "--h", "1", "--n", "3000", "--format", "csv"),
+                                      ("--s", "0", "--h", "1", "--n", "100000"),
+                                      ("--s", "0", "--h", "-1", "--n", "100000"),
+                                      ("--s", "-1", "--h", "1", "--n", "100000"),
+                                      ("--s", "-1", "--h", "3/2", "--n", "100000")])
     def test_gs_refused_before_it_is_built(self, capsys, monkeypatch, args):
         def not_built(table, row):
             raise AssertionError(f"built row {row}")
@@ -383,18 +389,33 @@ class TestValuesTooLargeToPrint:
         assert time.perf_counter() - start < 2.0
 
     def test_gs_refused_from_its_first_unprintable_first_column_entry(self, monkeypatch):
+        def too_long(s, h, n):
+            s, h = Fraction(s), Fraction(h)
+            return cli._triangle_too_long(h * s, h - h * s, n)
+
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
         # GS_{1;1}(m, 1) = (m-1)! first has more than 640 digits at m = 312
-        assert cli._gs_unprintable(Fraction(1), Fraction(1), 312)
-        assert not cli._gs_unprintable(Fraction(1), Fraction(1), 311)
+        assert too_long(1, 1, 312)
+        assert not too_long(1, 1, 311)
         # GS_{0;1/10}(m, 1) = 1/10^(m-1): its denominator, at m = 641
-        assert cli._gs_unprintable(Fraction(0), Fraction(1, 10), 641)
-        assert not cli._gs_unprintable(Fraction(0), Fraction(1, 10), 640)
-        # first columns of 1s and of 0s are left to the check after the build
+        assert too_long(0, Fraction(1, 10), 641)
+        assert not too_long(0, Fraction(1, 10), 640)
+        # first columns of 1s and of 0s, refused from S(m, k) and B(m, k)
         for s in (0, -1):
-            assert not cli._gs_unprintable(Fraction(s), Fraction(1), 10**9)
+            assert too_long(s, 1, 10**9)
+        # short first columns with no bound: 1, 1, 1/2, 0 and 1, 1/2, 0
+        assert not too_long(Fraction(-1, 2), 1, 10**9)
+        assert not too_long(-1, Fraction(1, 2), 10**9)
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
-        assert not cli._gs_unprintable(Fraction(1), Fraction(1), 10**9)
+        assert not too_long(1, 1, 10**9)
+
+    def test_short_first_column_refused_from_a_scaled_family(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
+        # (0, b) is b^(m-k) S(m, k), first refused with stirling2 at 399; (-b/2, b)
+        # is (b/2)^(m-k) B(m, k), first refused with bessel-B at 555
+        for a, b, n in ((0, 1, 399), (0, -1, 399), (-1, 2, 555), (1, -2, 555)):
+            assert cli._triangle_too_long(a, b, n), (a, b)
+            assert not cli._triangle_too_long(a, b, n - 1), (a, b)
 
     def test_stirling2_refused_from_its_first_unprintable_row(self, capsys, monkeypatch):
         rows = triangles.Triangles().rows("stirling2", 399)
@@ -434,7 +455,7 @@ class TestValuesTooLargeToPrint:
             with pytest.raises(AssertionError, match="built degree"):
                 self.run_at_lowest_limit(capsys, "poly", which, "--n", str(n - 1))
 
-    @pytest.mark.parametrize("family", sorted(f for f in cli._ROW_ENTRY if f in cli.TRIANGLE_FAMILIES))
+    @pytest.mark.parametrize("family", [f for f in cli.TRIANGLE_FAMILIES if f != "gs"])
     def test_triangle_huge_n_refused_at_once(self, capsys, monkeypatch, family):
         def not_built(table, row):
             raise AssertionError(f"built row {row}")
@@ -474,7 +495,7 @@ def test_default_jobs_counts_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert cli._default_jobs(None) == 1
-    assert cli._default_jobs(3) == 3
+    assert cli._default_jobs(3) == 1
     monkeypatch.delattr(os, "sched_getaffinity")
     assert cli._default_jobs(None) == 8
 
