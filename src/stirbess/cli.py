@@ -239,7 +239,8 @@ def _cmd_triangle(args) -> int | _Output:
     a, b = (args.h * args.s, args.h - args.h * args.s) if gs else triangles.RECURRENCES[args.family]
     if _triangle_too_long(a, b, n_max):
         return _too_long_error()
-    rows = triangles.DEFAULT.gs_rows(args.s, args.h, n_max) if gs else triangles.DEFAULT.rows(args.family, n_max)
+    t = triangles.DEFAULT
+    rows = (t.gs_rows(args.s, args.h, n_max) if gs else t.rows(args.family, n_max))[: n_max + 1]
 
     def payload() -> dict:
         d: dict = {"family": args.family, "n_max": n_max}
@@ -302,6 +303,12 @@ def _bipoly_output(args, poly) -> _Output:
 # the same polynomial much sooner.
 MAX_PN_RECURRENCE_N = 200
 
+# the largest --n of a poly kind, about a minute of work: pn-closed at --n
+# 700, 750 and 800 took about 36 s, 54 s and 64 s and peaked at 0.45, 0.54
+# and 0.65 GB, whole process, printing csv (same machine); the print check
+# alone would allow up to 1559 at the default limit
+_POLY_MAX_N = {"pn": MAX_PN_RECURRENCE_N, "pn-closed": 750}
+
 # (a, b) of a walk of ``_walk_too_long`` whose X_n is a coefficient of
 # polynomial n, every factor a*m + b of size >= 1, so an unprintable X_m with
 # m < n makes X_n unprintable too
@@ -326,11 +333,10 @@ def _cmd_poly(args) -> int | _Output:
         return _usage_error("--n must be nonnegative")
     if _walk_too_long(*_POLY_WALK[args.which], args.n):
         return _too_long_error()
-    if args.which == "pn" and args.n > MAX_PN_RECURRENCE_N:
-        return _usage_error(
-            f"poly pn --n must be at most {MAX_PN_RECURRENCE_N}, about a minute of recurrence work; "
-            "poly pn-closed prints the same polynomial sooner"
-        )
+    cap = _POLY_MAX_N.get(args.which)
+    if cap is not None and args.n > cap:
+        hint = "; poly pn-closed prints the same polynomial sooner" if args.which == "pn" else ""
+        return _usage_error(f"poly {args.which} --n must be at most {cap}, about a minute of work{hint}")
     poly = {
         "pn": families.pn_recurrence,
         "pn-closed": families.pn_closed_form,

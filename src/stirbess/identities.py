@@ -84,20 +84,6 @@ def _sign(e: int, v):
     return -v if e % 2 else v
 
 
-def _position(axis: Sequence) -> Callable[[object], int]:
-    """A value's position on a fixed case axis, found without hashing it
-    (``Fraction`` does not cache its hash): by id() for the axis's own
-    objects, which the cases carry, else by comparison (say, unpickled)."""
-    axis = tuple(axis)
-    ids = {id(v): i for i, v in enumerate(axis)}  # axis holds its values, so these ids stay theirs
-
-    def position(value) -> int:
-        i = ids.get(id(value))
-        return axis.index(value) if i is None else i
-
-    return position
-
-
 @functools.cache
 def _power_row(p: int, q: int, n: int) -> tuple[int, ...]:
     """p^i q^(n-i) for i = 0..n: the weights of a sum over the denominator
@@ -173,30 +159,26 @@ GS_COMPOSITION_TRIPLES: tuple[tuple[Fraction, Fraction, Fraction], ...] = (
 
 SSS2_Z_VALUES = (Fraction(1), Fraction(-2), Fraction(-1, 2), Fraction(3), Fraction(2, 3))
 
-# family: ((s, h),) of its table, and its reference; the stirling ones read the tables under test
+# family: (s, h) of its table, and its reference; the stirling ones read the tables under test
 _GS_SPECIAL = {
-    "bessel-B": (((Fraction(-1), Fraction(1)),), lambda t, n, k: bessel_B(n, k)),
-    "bessel-b": (((Fraction(2), Fraction(-1)),), lambda t, n, k: bessel_b(n, k)),
-    "stirling1": (((Fraction(1), Fraction(1)),), lambda t, n, k: t.stirling1(n, k)),
-    "stirling2": (((Fraction(0), Fraction(1)),), lambda t, n, k: t.stirling2(n, k)),
+    "bessel-B": ((Fraction(-1), Fraction(1)), lambda t, n, k: bessel_B(n, k)),
+    "bessel-b": ((Fraction(2), Fraction(-1)), lambda t, n, k: bessel_b(n, k)),
+    "stirling1": ((Fraction(1), Fraction(1)), lambda t, n, k: t.stirling1(n, k)),
+    "stirling2": ((Fraction(0), Fraction(1)), lambda t, n, k: t.stirling2(n, k)),
 }
-
-# [position of a][position of s]: the (s, h) of GS_{s;a} and GS_{s;1}
-_GS_SCALING_PAIRS = tuple(tuple(((s, a), (s, 1)) for s in GS_SCALING_S) for a in GS_SCALING_FACTORS)
-_gs_scaling_factor_at, _gs_scaling_s_at = _position(GS_SCALING_FACTORS), _position(GS_SCALING_S)
 
 
 def _gs_scaling_eval(params, t):
     n, k, a, s = params
-    scaled, unit = t.gs_triangles(_GS_SCALING_PAIRS[_gs_scaling_factor_at(a)][_gs_scaling_s_at(s)])
+    scaled, unit = t.memo((_gs_scaling_eval, a, s), lambda t: (t.gs_triangle(s, a), t.gs_triangle(s, 1)))
     rhs = Fraction(a.numerator ** (n - k) * unit.value(n, k), (a.denominator * unit.scale) ** (n - k))
     return scaled.fraction(n, k), rhs
 
 
 def _gs_special_eval(params, t):
     n, k, fam = params
-    pairs, reference = _GS_SPECIAL[fam]
-    (table,) = t.gs_triangles(pairs)
+    (s, h), reference = _GS_SPECIAL[fam]
+    table = t.memo((_gs_special_eval, fam), lambda t: t.gs_triangle(s, h))
     return table.fraction(n, k), reference(t, n, k)
 
 
@@ -212,15 +194,14 @@ def gs_composition_identity(triples: Sequence[tuple]) -> Identity:
         if nu == sigma:
             raise ValueError("composition triple requires nu != sigma (inner parameter)")
 
-    # at each triple's position: the (s, h) of its left, inner and outer tables
-    pairs = tuple(
-        ((s / nu, nu), (s / (nu - sigma), nu - sigma), ((s + sigma - nu) / sigma, sigma)) for s, nu, sigma in norm
-    )
-    position = _position(norm)
-
     def evaluate(params, t):
         n, k, triple = params
-        left, inner, outer = t.gs_triangles(pairs[position(triple)])
+        s, nu, sigma = triple
+        left, inner, outer = t.memo((evaluate, triple), lambda t: (
+            t.gs_triangle(s / nu, nu),
+            t.gs_triangle(s / (nu - sigma), nu - sigma),
+            t.gs_triangle((s + sigma - nu) / sigma, sigma),
+        ))
         d2, d3 = inner.scale, outer.scale
         inner_row, outer_rows, weight = inner.rows(n)[n], outer.rows(n), _power_row(d2, d3, n)
         # GS2(n,i) GS3(i,k) = inner[i] outer[i][k] / (d2^(n-i) d3^(i-k)), over d2^n d3^(n-k)
@@ -243,15 +224,11 @@ def sss2_identity(z_values: Sequence) -> Identity:
         if z == 0 or z == -1:
             raise ValueError("z must avoid 0 and -1")
 
-    # at each z's position: ((s, h),) of its table, and z = p/q
-    points = tuple((((1 / (z + 1), (z + 1) / z),), z.numerator, z.denominator) for z in zs)
-    position = _position(zs)
-
     def evaluate(params, t):
         n, k, z = params
-        pairs, p, q = points[position(z)]
+        # z's table, and z = p/q
+        table, p, q = t.memo((evaluate, z), lambda t: (t.gs_triangle(1 / (z + 1), (z + 1) / z), *z.as_integer_ratio()))
         lhs = Fraction(_s1s2_sum(t, n, k, p, q), q**n)
-        (table,) = t.gs_triangles(pairs)
         return lhs, Fraction(p**n * table.value(n, k), q**n * table.scale ** (n - k))
 
     return Identity(

@@ -28,6 +28,8 @@ integral family in ``RECURRENCES`` and returns their rows with
 returned by ``Triangles.gs_triangle``, whose D and integer rows serve exact
 sums over a common denominator; ``Triangles.gs_rows`` and ``Triangles.gs``
 give ``Fraction`` views of them, GS(n, k) = Fraction(row n [k], D^(n-k)).
+``Triangles.memo`` keeps what a caller derives from them, such as the
+tables one identity case reads, found again without hashing a ``Fraction``.
 
 Bessel numbers of the first kind b(n, k) and second kind B(n, k), and the
 Lah numbers L(n, k), also have module functions computing their factorial
@@ -45,6 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from typing import Callable, TypeVar
 
 from .exactnum import binomial_int, factorial
 from .polys import Rational
@@ -149,6 +152,9 @@ RECURRENCES = {
 }
 
 
+_T = TypeVar("_T")
+
+
 class Triangles:
     """The memoized recurrence tables: the integral families of
     ``RECURRENCES`` and generalized Stirling numbers.
@@ -162,7 +168,7 @@ class Triangles:
         self._tables = {family: RecurrenceTriangle(a, b) for family, (a, b) in RECURRENCES.items()}
         self._stirling1, self._stirling2 = self._tables["stirling1"], self._tables["stirling2"]
         self._gs: dict[tuple[Rational, Rational], RecurrenceTriangle] = {}
-        self._gs_by_id: dict[int, tuple[tuple, tuple[RecurrenceTriangle, ...]]] = {}
+        self._memo: dict[tuple[int, ...], tuple[tuple, object]] = {}
 
     def stirling1(self, n: int, k: int) -> int:
         """Unsigned Stirling number of the first kind (cycle counts)."""
@@ -176,8 +182,9 @@ class Triangles:
         return self._tables["stirling1-signed"].value(n, k)
 
     def rows(self, family: str, n: int) -> list[tuple[int, ...]]:
-        """Rows 0..n of a family in ``RECURRENCES``; row m holds T(m, 0..m)."""
-        return self._tables[family].rows(n)[: n + 1]
+        """The sealed rows of a family in ``RECURRENCES``, at least rows 0..n;
+        row m holds T(m, 0..m)."""
+        return self._tables[family].rows(n)
 
     def gs_triangle(self, s: Rational, h: Rational) -> RecurrenceTriangle:
         """The generalized Stirling table with parameters (s, h), h != 0: row
@@ -192,13 +199,15 @@ class Triangles:
             table = self._gs[s, h] = RecurrenceTriangle(fh * fs, fh - fh * fs)
         return table
 
-    def gs_triangles(self, pairs: tuple[tuple[Rational, Rational], ...]) -> tuple[RecurrenceTriangle, ...]:
-        """``gs_triangle(s, h)`` for each (s, h) in ``pairs``, found by the id
-        of ``pairs`` after the first call, as ``Fraction`` does not cache its
-        hash; so pass a fixed tuple, such as an identity's constant."""
-        entry = self._gs_by_id.get(id(pairs))
-        if entry is None:  # the entry holds pairs, so no other object gets its id
-            entry = self._gs_by_id[id(pairs)] = (pairs, tuple(self.gs_triangle(s, h) for s, h in pairs))
+    def memo(self, key: tuple, derive: Callable[[Triangles], _T]) -> _T:
+        """``derive(self)``, kept on this table set under the ids of ``key``'s
+        items, as ``Fraction`` does not cache its hash.  Put the caller first
+        in ``key``, so two callers never share an entry, then the objects the
+        result depends on, such as one case's values."""
+        ids = tuple(map(id, key))
+        entry = self._memo.get(ids)
+        if entry is None:  # the entry holds key, so no other object gets its ids
+            entry = self._memo[ids] = (key, derive(self))
         return entry[1]
 
     def gs_rows(self, s: Rational, h: Rational, n: int) -> list[tuple[Fraction, ...]]:

@@ -82,6 +82,13 @@ class TestTriangle:
         assert json.dumps(parsed, indent=2) + "\n" == out
         assert parsed["rows"][4] == [0, 6, 11, 6, 1]
 
+    def test_prints_rows_up_to_n_only(self, capsys, monkeypatch):
+        monkeypatch.setattr(triangles, "DEFAULT", triangles.Triangles())
+        triangles.DEFAULT.rows("stirling1", 20)
+        code, out, _ = run_cli(capsys, "triangle", "stirling1", "--n", "5")
+        assert code == 0
+        assert out.splitlines() == ["1", "0 1", "0 1 1", "0 2 3 1", "0 6 11 6 1", "0 24 50 35 10 1"]
+
     def test_csv_header(self, capsys):
         code, out, _ = run_cli(capsys, "triangle", "bessel-B", "--n", "4", "--format", "csv")
         assert code == 0
@@ -139,6 +146,19 @@ class TestPoly:
         assert err.startswith("stirbess: error: ") and "pn-closed" in err
         monkeypatch.setattr(families, "pn_recurrence", lambda n: BiPoly.x())
         code, out, _ = run_cli(capsys, "poly", "pn", "--n", "200", "--format", "csv")
+        assert code == 0 and out.splitlines() == ["x_power,z_power,coefficient", "1,0,1"]
+
+    def test_pn_closed_cap(self, capsys, monkeypatch):
+        def not_built(n):
+            raise AssertionError(f"built the closed form to n = {n}")
+
+        cap = cli._POLY_MAX_N["pn-closed"]
+        monkeypatch.setattr(families, "pn_closed_form", not_built)
+        code, out, err = run_cli(capsys, "poly", "pn-closed", "--n", str(cap + 1))
+        assert code == 2 and out == ""
+        assert err.startswith("stirbess: error: ") and f"at most {cap}" in err
+        monkeypatch.setattr(families, "pn_closed_form", lambda n: BiPoly.x())
+        code, out, _ = run_cli(capsys, "poly", "pn-closed", "--n", str(cap), "--format", "csv")
         assert code == 0 and out.splitlines() == ["x_power,z_power,coefficient", "1,0,1"]
 
 

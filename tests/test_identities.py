@@ -301,7 +301,7 @@ GS_IDS = ("gs-scaling", "gs-special", "gs-composition", "sss2")
 class TestGsTableLookup:
     def test_no_fraction_hashed_per_case(self, monkeypatch):
         # Fraction does not cache its hash, so the evaluators find their tables
-        # by grid position: only building a table set's handles hashes any
+        # by the ids of a case's values: only deriving a Triangles.memo entry hashes any
         calls = [0]
         fraction_hash = Fraction.__hash__
 

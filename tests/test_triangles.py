@@ -1,4 +1,7 @@
+import gc
 import itertools
+import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -192,12 +195,75 @@ class TestRows:
             assert list(row) == [entry(n, k) for k in range(n + 1)], n
 
 
+    def test_rows_are_the_sealed_rows(self):
+        t = Triangles()
+        rows = t.rows("lah", 12)
+        assert t.rows("lah", 5) is rows and len(rows) == 13
+
     def test_signed_rows_are_signed_unsigned_rows(self):
         t = Triangles()
         signed, unsigned = t.rows("stirling1-signed", 200), t.rows("stirling1", 200)
         assert len(signed) == len(unsigned) == 201
         for n, (srow, urow) in enumerate(zip(signed, unsigned)):
             assert list(srow) == [(-1) ** (n - k) * v for k, v in enumerate(urow)], n
+
+
+class TestMemo:
+    """``Triangles.memo`` keys an entry by the ids of its key's items, the
+    caller first."""
+
+    def test_derive_runs_once_per_key_object(self):
+        t, s, calls = Triangles(), Fraction(1, 2), []
+
+        def derive(tables):
+            calls.append(tables)
+            return tables.gs_triangle(s, 3)
+
+        table = t.memo((derive, s), derive)
+        assert t.memo((derive, s), derive) is table is t.gs_triangle(s, 3)
+        assert calls == [t]
+
+    def test_equal_but_distinct_key_derives_equal_tables(self):
+        t, s = Triangles(), Fraction(1, 2)
+        copy = pickle.loads(pickle.dumps(s))
+        assert copy == s and copy is not s
+        calls = []
+
+        def derive(tables, s):
+            calls.append(s)
+            return tables.gs_triangle(s, 3)
+
+        table = t.memo((derive, s), lambda tables: derive(tables, s))
+        assert t.memo((derive, copy), lambda tables: derive(tables, copy)) is table
+        assert calls == [s, copy] and calls[1] is copy
+
+    def test_no_entry_shared_between_table_sets(self):
+        s = Fraction(1, 2)
+        derive = lambda tables: tables.gs_triangle(s, 3)
+        one, two = Triangles(), Triangles()
+        assert one.memo((derive, s), derive) is one.gs_triangle(s, 3)
+        assert two.memo((derive, s), derive) is two.gs_triangle(s, 3)
+        assert one.gs_triangle(s, 3) is not two.gs_triangle(s, 3)
+
+    @pytest.mark.parametrize("axis", [Fraction(1, 2), "stirling2"])
+    def test_callers_sharing_an_axis_object_get_their_own_entries(self, axis):
+        t = Triangles()
+        first, second = (lambda tables: "first"), (lambda tables: "second")
+        assert t.memo((first, axis), first) == "first"
+        assert t.memo((second, axis), second) == "second"
+        assert t.memo((first, axis), second) == "first"
+
+    def test_entry_keeps_its_key_alive(self):
+        # else another object could take a key item's id and find its entry
+        class Axis:
+            pass
+
+        t, axis = Triangles(), Axis()
+        ref = weakref.ref(axis)
+        t.memo((Axis, axis), lambda tables: None)
+        del axis
+        gc.collect()
+        assert ref() is not None
 
 
 class TestGeneralizedStirling:
