@@ -22,7 +22,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from . import triangles
 
 TRIANGLE_FAMILIES = (*triangles.RECURRENCES, "gs")
-POLY_KINDS = ("pn", "pn-closed", "bessel-y", "bessel-theta", "chebyshev")
 FORMATS = ("table", "json", "csv")
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -57,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tri.add_argument("--format", choices=FORMATS, default="table")
 
     p_poly = sub.add_parser("poly", help="print one polynomial of a family")
-    p_poly.add_argument("which", choices=POLY_KINDS)
+    p_poly.add_argument("which", choices=_POLY)
     p_poly.add_argument("--n", type=int, required=True, help="index of the polynomial")
     p_poly.add_argument("--z", type=_rational, help="substitute z (pn variants only)")
     p_poly.add_argument("--format", choices=FORMATS, default="table")
@@ -224,6 +223,14 @@ def _triangle_too_long(a, b, n: int) -> bool:
     return _walk_too_long(a, b, n) or _too_long_to_print(bounds)
 
 
+# triangle gs --s -1/2 --h 1, whose entries stay printable, took 9, 38 and
+# 113 s at --n 1000, 1500 and 2000 and peaked at 0.26, 0.82 and 1.9 GB, whole
+# process printing csv (2 cores, Python 3.11.7), so --n above this is refused
+# even where every entry prints; at the default limit the print check already
+# refuses every named family but bessel-B below it.
+MAX_TRIANGLE_N = 2000
+
+
 def _cmd_triangle(args) -> int | _Output:
     if args.family == "gs":
         if args.s is None or args.h is None:
@@ -236,9 +243,11 @@ def _cmd_triangle(args) -> int | _Output:
     if n_max < 0:
         return _usage_error("--n must be nonnegative")
     gs = args.family == "gs"
-    a, b = (args.h * args.s, args.h - args.h * args.s) if gs else triangles.RECURRENCES[args.family]
+    a, b = triangles.gs_recurrence(args.s, args.h) if gs else triangles.RECURRENCES[args.family]
     if _triangle_too_long(a, b, n_max):
         return _too_long_error()
+    if n_max > MAX_TRIANGLE_N:
+        return _usage_error(f"triangle --n must be at most {MAX_TRIANGLE_N}, about two minutes of work")
     t = triangles.DEFAULT
     rows = (t.gs_rows(args.s, args.h, n_max) if gs else t.rows(args.family, n_max))[: n_max + 1]
 
@@ -303,47 +312,45 @@ def _bipoly_output(args, poly) -> _Output:
 # the same polynomial much sooner.
 MAX_PN_RECURRENCE_N = 200
 
-# the largest --n of a poly kind, about a minute of work: pn-closed at --n
-# 700, 750 and 800 took about 36 s, 54 s and 64 s and peaked at 0.45, 0.54
-# and 0.65 GB, whole process, printing csv (same machine); the print check
-# alone would allow up to 1559 at the default limit
-_POLY_MAX_N = {"pn": MAX_PN_RECURRENCE_N, "pn-closed": 750}
-
-# (a, b) of a walk of ``_walk_too_long`` whose X_n is a coefficient of
-# polynomial n, every factor a*m + b of size >= 1, so an unprintable X_m with
-# m < n makes X_n unprintable too
-_POLY_WALK = {
-    "pn": (1, 0),  # (n-1)!, the denominator of 1/(n-1)!, the coefficient of x z^(n-1)
-    "pn-closed": (1, 0),
-    "bessel-y": (2, 1),  # (2n-1)!! = (2n)!/(2^n n!), the largest coefficient
-    "bessel-theta": (2, 1),
-    "chebyshev": (0, 2),  # 2^(n-1), the leading coefficient
+# poly kind: the ``families`` function that builds polynomial n, the (a, b) of
+# a ``_walk_too_long`` walk whose X_n is a coefficient of polynomial n (every
+# factor a*m + b of size >= 1, so an unprintable X_m with m < n makes X_n
+# unprintable too), and the largest --n, about a minute of work.  Times are of
+# the whole process printing csv, on a 2-core machine with Python 3.11.7.
+_POLY = {
+    # (n-1)!, the denominator of 1/(n-1)!, the coefficient of x z^(n-1)
+    "pn": ("pn_recurrence", (1, 0), MAX_PN_RECURRENCE_N),
+    # --n 700, 750 and 800 took about 36 s, 54 s and 64 s and peaked at 0.45,
+    # 0.54 and 0.65 GB
+    "pn-closed": ("pn_closed_form", (1, 0), 750),
+    # (2n-1)!! = (2n)!/(2^n n!), the largest coefficient; at limit 0, --n 4500
+    # took 44 s (bessel-y) and 40 s (bessel-theta), peaking at 121 MB, and
+    # bessel-y --n 5000 65 s
+    "bessel-y": ("bessel_poly", (2, 1), 4500),
+    "bessel-theta": ("reverse_bessel_poly", (2, 1), 4500),
+    # 2^(n-1), the leading coefficient; --n 10000 and 11000 took 40 s and 63 s,
+    # --n 10000 peaking at 64 MB
+    "chebyshev": ("chebyshev_t", (0, 2), 10000),
 }
 
 
 def _cmd_poly(args) -> int | _Output:
     from . import families
 
-    pn = args.which in ("pn", "pn-closed")
+    builder, walk, max_n = _POLY[args.which]
+    pn = args.which.startswith("pn")
     if pn and args.n < 1:
         return _usage_error("pn variants require --n >= 1")
     if args.z is not None and not pn:
         return _usage_error("--z applies only to pn variants")
     if args.n < 0:
         return _usage_error("--n must be nonnegative")
-    if _walk_too_long(*_POLY_WALK[args.which], args.n):
+    if _walk_too_long(*walk, args.n):
         return _too_long_error()
-    cap = _POLY_MAX_N.get(args.which)
-    if cap is not None and args.n > cap:
+    if args.n > max_n:
         hint = "; poly pn-closed prints the same polynomial sooner" if args.which == "pn" else ""
-        return _usage_error(f"poly {args.which} --n must be at most {cap}, about a minute of work{hint}")
-    poly = {
-        "pn": families.pn_recurrence,
-        "pn-closed": families.pn_closed_form,
-        "bessel-y": families.bessel_poly,
-        "bessel-theta": families.reverse_bessel_poly,
-        "chebyshev": families.chebyshev_t,
-    }[args.which](args.n)
+        return _usage_error(f"poly {args.which} --n must be at most {max_n}, about a minute of work{hint}")
+    poly = getattr(families, builder)(args.n)
     if args.z is not None:
         return _unipoly_output(args, poly.substitute_z(args.z), args.z)
     return _bipoly_output(args, poly) if pn else _unipoly_output(args, poly, None)

@@ -152,6 +152,12 @@ RECURRENCES = {
 }
 
 
+def gs_recurrence(s: Rational, h: Rational) -> tuple[Rational, Rational]:
+    """(a, b) of the generalized Stirling recurrence with parameters (s, h):
+    (h*s, h - h*s), whose coefficient a*n + b*k is h*(k + s*(n - k))."""
+    return h * s, h - h * s
+
+
 _T = TypeVar("_T")
 
 
@@ -196,7 +202,7 @@ class Triangles:
             fs, fh = Fraction(s), Fraction(h)
             if fh == 0:
                 raise ValueError("parameter h must be nonzero")
-            table = self._gs[s, h] = RecurrenceTriangle(fh * fs, fh - fh * fs)
+            table = self._gs[s, h] = RecurrenceTriangle(*gs_recurrence(fs, fh))
         return table
 
     def memo(self, key: tuple, derive: Callable[[Triangles], _T]) -> _T:

@@ -148,18 +148,20 @@ class TestPoly:
         code, out, _ = run_cli(capsys, "poly", "pn", "--n", "200", "--format", "csv")
         assert code == 0 and out.splitlines() == ["x_power,z_power,coefficient", "1,0,1"]
 
-    def test_pn_closed_cap(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("which", list(cli._POLY))
+    def test_pn_closed_cap(self, capsys, monkeypatch, which):
         def not_built(n):
-            raise AssertionError(f"built the closed form to n = {n}")
+            raise AssertionError(f"built {which} to n = {n}")
 
-        cap = cli._POLY_MAX_N["pn-closed"]
-        monkeypatch.setattr(families, "pn_closed_form", not_built)
-        code, out, err = run_cli(capsys, "poly", "pn-closed", "--n", str(cap + 1))
+        builder, _, cap = cli._POLY[which]
+        monkeypatch.setattr(families, builder, not_built)
+        # limit 0: nothing but the cap bounds --n
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        code, out, err = run_cli(capsys, "poly", which, "--n", str(cap + 1))
         assert code == 2 and out == ""
         assert err.startswith("stirbess: error: ") and f"at most {cap}" in err
-        monkeypatch.setattr(families, "pn_closed_form", lambda n: BiPoly.x())
-        code, out, _ = run_cli(capsys, "poly", "pn-closed", "--n", str(cap), "--format", "csv")
-        assert code == 0 and out.splitlines() == ["x_power,z_power,coefficient", "1,0,1"]
+        with pytest.raises(AssertionError, match=f"built {which} to n = {cap}"):
+            run_cli(capsys, "poly", which, "--n", str(cap))
 
 
 class TestVerify:
@@ -474,6 +476,26 @@ class TestValuesTooLargeToPrint:
         if which != "pn":  # pn --n 311 is above the recurrence cap
             with pytest.raises(AssertionError, match="built degree"):
                 self.run_at_lowest_limit(capsys, "poly", which, "--n", str(n - 1))
+
+    # printable rows that cost minutes and gigabytes: a short gs first column
+    # with no bound, and any family at limit 0
+    @pytest.mark.parametrize("limit, args", [(4300, ("gs", "--s", "-1/2", "--h", "1", "--n", "3000")),
+                                             (4300, ("gs", "--s", "-1", "--h", "1/2", "--n", "100000")),
+                                             (0, ("stirling1", "--n", "100000"))],
+                             ids=["gs-s=-1/2-h=1", "gs-s=-1-h=1/2", "stirling1-limit-0"])
+    def test_triangle_cap(self, capsys, monkeypatch, limit, args):
+        def not_built(table, row):
+            raise AssertionError(f"built row {row}")
+
+        monkeypatch.setattr(triangles.RecurrenceTriangle, "rows", not_built)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "triangle", *args)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == ""
+        assert err.startswith("stirbess: error: ") and f"at most {cli.MAX_TRIANGLE_N}" in err
+        with pytest.raises(AssertionError, match="built row"):
+            run_cli(capsys, "triangle", *args[:-1], str(cli.MAX_TRIANGLE_N))
 
     @pytest.mark.parametrize("family", [f for f in cli.TRIANGLE_FAMILIES if f != "gs"])
     def test_triangle_huge_n_refused_at_once(self, capsys, monkeypatch, family):
