@@ -104,18 +104,17 @@ def _default_jobs(jobs: int | None) -> int:
 # output
 
 class _Output(NamedTuple):
-    """A command's exit code and its output in each format. Lines and rows
+    """A command's exit code and its output in each format. Lines and csv
     are lazy iterables and the payload a callable, so only the format that is
-    printed gets built. A csv row is a sequence of cells, each printed as its
-    ``str()``, quoted where csv needs it. ``exact`` holds every computed int
-    or Fraction that any format prints, so their length can be checked before
-    printing."""
+    printed gets built. ``csv`` yields strings of whole records, each ended by
+    ``\r\n``, the header first. ``exact`` holds, for every computed int or
+    Fraction that any format prints, it or one at least as long, so their
+    length can be checked before printing."""
 
     code: int
     lines: Iterable[str]  # table
     payload: Callable[[], object]  # json
-    header: Sequence[str]  # csv
-    rows: Iterable[Sequence]  # csv
+    csv: Iterable[str]
     exact: Iterable = ()
 
 
@@ -145,12 +144,14 @@ def _jsonable(value):
 
 
 def _csv_field(value) -> str:
-    """``str(value)``, quoted when it holds a comma, a quote or a line break,
-    with inner quotes doubled: the default ``csv`` dialect's minimal quoting."""
-    text = str(value)
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    """``str(value)``, quoted when it is a str that holds a comma, a quote or
+    a line break, with inner quotes doubled: the default ``csv`` dialect's
+    minimal quoting. A number's text never needs quoting."""
+    if not isinstance(value, str):
+        return str(value)
+    if "," in value or '"' in value or "\r" in value or "\n" in value:
+        return '"' + value.replace('"', '""') + '"'
+    return value
 
 
 def _csv_line(row: Sequence) -> str:
@@ -162,7 +163,7 @@ def _csv_line(row: Sequence) -> str:
 
 def _emit(fmt: str, out: _Output) -> None:
     """Write command output to stdout; nothing else in the CLI does. Each
-    table line and csv record is written as it is made, so no format but json
+    table line and csv string is written as it is made, so no format but json
     holds the whole output at once."""
     stdout = sys.stdout  # read per call: callers may redirect it
     if fmt == "table":
@@ -171,8 +172,7 @@ def _emit(fmt: str, out: _Output) -> None:
     elif fmt == "json":
         print(json.dumps(out.payload(), indent=2), file=stdout)
     else:
-        stdout.write(_csv_line(out.header))
-        stdout.writelines(map(_csv_line, out.rows))
+        stdout.writelines(out.csv)
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +259,17 @@ def _cmd_triangle(args) -> int | _Output:
         d["rows"] = _jsonable(rows)
         return d
 
+    # every cell is a number, which csv never quotes, so each triangle row is
+    # one string; !s keeps a Fraction from Fraction.__format__ (Python 3.12+)
+    csv_rows = ("".join([f"{n},{k},{v!s}\r\n" for k, v in enumerate(row)]) for n, row in enumerate(rows))
     return _Output(
         0,
-        lines=(" ".join(str(v) for v in row) for row in rows),
+        lines=(" ".join(map(str, row)) for row in rows),
         payload=payload,
-        header=("n", "k", "value"),
-        rows=((n, k, v) for n, row in enumerate(rows) for k, v in enumerate(row)),
-        exact=(v for row in rows for v in row),
+        csv=itertools.chain(["n,k,value\r\n"], csv_rows),
+        # an int row's longest entry is its max or its min; a Fraction can be
+        # long in its denominator alone
+        exact=(v for row in rows for v in row) if gs else (v for row in rows for v in (max(row), min(row))),
     )
 
 
@@ -283,8 +287,7 @@ def _unipoly_output(args, poly, z) -> _Output:
             "variable": "x",
             "coefficients": [str(c) for c in poly.coeffs],
         },
-        header=("power", "coefficient"),
-        rows=((power, str(c)) for power, c in enumerate(poly.coeffs)),
+        csv=map(_csv_line, itertools.chain([("power", "coefficient")], enumerate(poly.coeffs))),
         exact=poly.coeffs,
     )
 
@@ -300,8 +303,9 @@ def _bipoly_output(args, poly) -> _Output:
             "variables": ["x", "z"],
             "terms": [{"x": i, "z": j, "coefficient": str(c)} for (i, j), c in items],
         },
-        header=("x_power", "z_power", "coefficient"),
-        rows=((i, j, str(c)) for (i, j), c in items),
+        csv=map(
+            _csv_line, itertools.chain([("x_power", "z_power", "coefficient")], ((i, j, c) for (i, j), c in items))
+        ),
         exact=(c for _, c in items),
     )
 
@@ -417,12 +421,12 @@ def _cmd_verify(args) -> int | _Output:
         reports = identities.run_suite(args.n_max, selection, jobs=jobs)
     except ValueError as exc:
         return _usage_error(str(exc))
+    header = ["id", "range", "status", "params", "lhs", "rhs"] + (["elapsed_ms", "cases"] if args.timings else [])
     return _Output(
         0 if all(r.passed for r in reports) else 1,
         lines=_report_lines(reports),
         payload=lambda: [_report_dict(r, args.timings) for r in reports],
-        header=["id", "range", "status", "params", "lhs", "rhs"] + (["elapsed_ms", "cases"] if args.timings else []),
-        rows=(_report_row(r, args.timings) for r in reports),
+        csv=map(_csv_line, itertools.chain([header], (_report_row(r, args.timings) for r in reports))),
     )
 
 
@@ -497,6 +501,8 @@ def _cmd_simulate(args) -> int | _Output:
     with_t = args.t is not None
     results = occupation.estimate_moments_at(config, (1, args.t) if with_t else (1,), jobs)
     z_values = [abs(m.z_score) for r in results for m in r.moments if m.z_score is not None]
+    header = (["time_fraction"] if with_t else []) + ["n", "empirical_mean", "stderr", "exact", "z_score"]
+    rows = (([str(r.time_fraction)] if with_t else []) + _moment_row(m) for r in results for m in r.moments)
     return _Output(
         0 if all(z < 5.0 for z in z_values) else 1,
         lines=_sim_lines(results),
@@ -505,8 +511,7 @@ def _cmd_simulate(args) -> int | _Output:
             if with_t
             else _sim_dict(results[0])
         ),
-        header=(["time_fraction"] if with_t else []) + ["n", "empirical_mean", "stderr", "exact", "z_score"],
-        rows=(([str(r.time_fraction)] if with_t else []) + _moment_row(m) for r in results for m in r.moments),
+        csv=map(_csv_line, itertools.chain([header], rows)),
         exact=(m.exact_value for r in results for m in r.moments),
     )
 

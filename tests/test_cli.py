@@ -96,6 +96,25 @@ class TestTriangle:
         assert lines[0] == "n,k,value"
         assert "4,3,6" in lines
 
+    @pytest.mark.parametrize(
+        "family, params",
+        [(family, ()) for family in cli.TRIANGLE_FAMILIES if family != "gs"]
+        + [("gs", ("--s", "1/2", "--h", "-3")), ("gs", ("--s", "-1", "--h", "1/3"))],
+    )
+    def test_row_writer_matches_csv_writer(self, capsys, family, params):
+        """Each format's row writer against its oracle: csv against
+        ``csv.writer`` over (n, k, value), table against the row's entries."""
+        t = triangles.Triangles()
+        rows = t.gs_rows(Fraction(params[1]), Fraction(params[3]), 30) if params else t.rows(family, 30)[:31]
+        expected = io.StringIO()
+        csv.writer(expected).writerows([("n", "k", "value"), *(
+            (n, k, v) for n, row in enumerate(rows) for k, v in enumerate(row)
+        )])
+        code, out, _ = run_cli(capsys, "triangle", family, *params, "--n", "30", "--format", "csv")
+        assert code == 0 and out == expected.getvalue()
+        code, out, _ = run_cli(capsys, "triangle", family, *params, "--n", "30", "--format", "table")
+        assert code == 0 and out.splitlines() == [" ".join(map(str, row)) for row in rows]
+
 
 class TestPoly:
     def test_bessel_y(self, capsys):
@@ -240,7 +259,17 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--alpha", "1.5")
         assert code == 2 and "alpha" in err
 
-    def test_steps_above_float_exact_range(self, capsys):
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
+        """A refused run must fail at once, not walk."""
+        from stirbess import occupation
+
+        def not_run(*args):
+            raise AssertionError("walked only to refuse the run")
+
+        monkeypatch.setattr(occupation, "_walk_counts", not_run)
+
+    def test_steps_above_float_exact_range(self, capsys, no_walk):
         code, out, err = run_cli(capsys, "simulate", "--alpha", "0.5", "--steps", str(2**53 + 1), "--paths", "10")
         assert code == 2 and out == "" and "steps" in err
 
@@ -248,7 +277,7 @@ class TestSimulate:
         "steps, paths, message",
         [(2**53, 2, "about a minute"), (10**4, 3 * 10**7, "about a minute"), (1, 2**25 + 1, "paths")],
     )
-    def test_kernel_cost_refused(self, capsys, steps, paths, message):
+    def test_kernel_cost_refused(self, capsys, no_walk, steps, paths, message):
         code, out, err = run_cli(
             capsys, "simulate", "--alpha", "0.5", "--steps", str(steps), "--paths", str(paths),
             "--moments", "1", "--jobs", "1",
@@ -513,6 +542,24 @@ class TestValuesTooLargeToPrint:
         # the exact moment of order 60 at alpha = 0.3 has more than 640 digits
         args = ("simulate", "--alpha", "0.3", "--steps", "10", "--paths", "10", "--moments", "60",
                 "--jobs", "1", "--format", fmt)
+        self.assert_refused(*self.run_at_lowest_limit(capsys, *args))
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_triangle_checked_from_row_extremes(self, capsys, monkeypatch, fmt):
+        """An int row is checked by its max and min only, so a row whose only
+        unprintable entry is negative is still refused; a gs row is checked
+        entry by entry, so one whose only unprintable part is a denominator is
+        too. The first-column pre-check is patched away to reach the rows."""
+        monkeypatch.setattr(cli, "_triangle_too_long", lambda a, b, n: False)
+        rows = [(1,), (0, 1), (0, -(10**640), 10**639)]  # 10**639 has 640 digits and prints
+        monkeypatch.setattr(triangles.Triangles, "rows", lambda self, family, n: rows)
+        args = ("triangle", "stirling1-signed", "--n", "2", "--format", fmt)
+        self.assert_refused(*self.run_at_lowest_limit(capsys, *args))
+        # GS_{0;h}(m, k) = h^(m-k) S(m, k): with h = 1/10^100, the only part of
+        # row 8 too long to print is the denominator of its entry 1/10^700
+        h = "1/1" + "0" * 100
+        assert triangles.Triangles().gs_rows(0, Fraction(h), 8)[8][1] == Fraction(1, 10**700)
+        args = ("triangle", "gs", "--s", "0", "--h", h, "--n", "8", "--format", fmt)
         self.assert_refused(*self.run_at_lowest_limit(capsys, *args))
 
     def test_limit_zero_means_no_limit(self, capsys, monkeypatch):
