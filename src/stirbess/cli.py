@@ -248,16 +248,9 @@ def _cmd_triangle(args) -> int | _Output:
         return _too_long_error()
     if n_max > MAX_TRIANGLE_N:
         return _usage_error(f"triangle --n must be at most {MAX_TRIANGLE_N}, about two minutes of work")
-    t = triangles.DEFAULT
-    rows = (t.gs_rows(args.s, args.h, n_max) if gs else t.rows(args.family, n_max))[: n_max + 1]
-
-    def payload() -> dict:
-        d: dict = {"family": args.family, "n_max": n_max}
-        if gs:
-            d["s"] = str(args.s)
-            d["h"] = str(args.h)
-        d["rows"] = _jsonable(rows)
-        return d
+    table = triangles.DEFAULT.table(a, b)
+    rows = table.fractions(n_max) if gs else table.rows(n_max)[: n_max + 1]
+    params = {"s": str(args.s), "h": str(args.h)} if gs else {}
 
     # every cell is a number, which csv never quotes, so each triangle row is
     # one string; !s keeps a Fraction from Fraction.__format__ (Python 3.12+)
@@ -265,7 +258,7 @@ def _cmd_triangle(args) -> int | _Output:
     return _Output(
         0,
         lines=(" ".join(map(str, row)) for row in rows),
-        payload=payload,
+        payload=lambda: {"family": args.family, "n_max": n_max, **params, "rows": _jsonable(rows)},
         csv=itertools.chain(["n,k,value\r\n"], csv_rows),
         # an int row's longest entry is its max or its min; a Fraction can be
         # long in its denominator alone

@@ -72,11 +72,15 @@ def _grid(n_from: int, k_from: int | None, *axes: Sequence):
     return cases
 
 
+def _product_sum(left, right, n: int, k: int, p: int, q: int) -> int:
+    """sum_i L(n,i) R(i,k) p^i q^(n-i) over the integer rows of two tables."""
+    row, rights, weight = left.rows(n)[n], right.rows(n), _power_row(p, q, n)
+    return sum(row[i] * rights[i][k] * weight[i] for i in range(k, n + 1))
+
+
 def _s1s2_sum(t: Triangles, n: int, k: int, p: int, q: int) -> int:
-    """The paper's sum at z = p/q, over the denominator q^n:
-    sum_i s1(n,i) s2(i,k) p^i q^(n-i)."""
-    s1, s2, weight = t.rows("stirling1", n)[n], t.rows("stirling2", n), _power_row(p, q, n)
-    return sum(s1[i] * s2[i][k] * weight[i] for i in range(k, n + 1))
+    """sum_i s1(n,i) s2(i,k) p^i q^(n-i), the paper's sum at z = p/q over the denominator q^n."""
+    return _product_sum(t.table(1, 0), t.table(0, 1), n, k, p, q)
 
 
 def _sign(e: int, v):
@@ -159,12 +163,30 @@ GS_COMPOSITION_TRIPLES: tuple[tuple[Fraction, Fraction, Fraction], ...] = (
 
 SSS2_Z_VALUES = (Fraction(1), Fraction(-2), Fraction(-1, 2), Fraction(3), Fraction(2, 3))
 
-# family: (s, h) of its table, and its reference; the stirling ones read the tables under test
+
+@functools.cache
+def _stirling1_row(n: int) -> tuple[int, ...]:
+    """s1(n, 0..n), the coefficients of x(x+1)...(x+n-1)."""
+    return rising_factorial_poly(n).coeffs
+
+
+@functools.cache
+def _stirling2_row(n: int) -> tuple[int, ...]:
+    """S(n, 0..n) by inclusion-exclusion: k! S(n, k) = sum_j (-1)^(k-j) C(k, j) j^n,
+    the k-th forward difference of j^n at j = 0."""
+    diffs, row = [j**n for j in range(n + 1)], []
+    for k in range(n + 1):
+        row.append(diffs[0] // factorial(k))
+        diffs = [b - a for a, b in itertools.pairwise(diffs)]
+    return tuple(row)
+
+
+# family: (s, h) of its table, and its reference, which reads no table
 _GS_SPECIAL = {
-    "bessel-B": ((Fraction(-1), Fraction(1)), lambda t, n, k: bessel_B(n, k)),
-    "bessel-b": ((Fraction(2), Fraction(-1)), lambda t, n, k: bessel_b(n, k)),
-    "stirling1": ((Fraction(1), Fraction(1)), lambda t, n, k: t.stirling1(n, k)),
-    "stirling2": ((Fraction(0), Fraction(1)), lambda t, n, k: t.stirling2(n, k)),
+    "bessel-B": ((Fraction(-1), Fraction(1)), bessel_B),
+    "bessel-b": ((Fraction(2), Fraction(-1)), bessel_b),
+    "stirling1": ((Fraction(1), Fraction(1)), lambda n, k: _stirling1_row(n)[k]),
+    "stirling2": ((Fraction(0), Fraction(1)), lambda n, k: _stirling2_row(n)[k]),
 }
 
 
@@ -179,7 +201,7 @@ def _gs_special_eval(params, t):
     n, k, fam = params
     (s, h), reference = _GS_SPECIAL[fam]
     table = t.memo((_gs_special_eval, fam), lambda t: t.gs_triangle(s, h))
-    return table.fraction(n, k), reference(t, n, k)
+    return table.fraction(n, k), reference(n, k)
 
 
 def gs_composition_identity(triples: Sequence[tuple]) -> Identity:
@@ -197,16 +219,12 @@ def gs_composition_identity(triples: Sequence[tuple]) -> Identity:
     def evaluate(params, t):
         n, k, triple = params
         s, nu, sigma = triple
+        # T_{s,nu-s} = T_{s,nu-sigma-s} o T_{s+sigma-nu,nu-s}: GS_{s/nu;nu} is T_{s,nu-s}
         left, inner, outer = t.memo((evaluate, triple), lambda t: (
-            t.gs_triangle(s / nu, nu),
-            t.gs_triangle(s / (nu - sigma), nu - sigma),
-            t.gs_triangle((s + sigma - nu) / sigma, sigma),
+            t.table(s, nu - s), t.table(s, nu - sigma - s), t.table(s + sigma - nu, nu - s)
         ))
-        d2, d3 = inner.scale, outer.scale
-        inner_row, outer_rows, weight = inner.rows(n)[n], outer.rows(n), _power_row(d2, d3, n)
-        # GS2(n,i) GS3(i,k) = inner[i] outer[i][k] / (d2^(n-i) d3^(i-k)), over d2^n d3^(n-k)
-        num = sum(inner_row[i] * outer_rows[i][k] * weight[i] for i in range(k, n + 1))
-        return left.fraction(n, k), Fraction(num, d2**n * d3 ** (n - k))
+        d2, d3 = inner.scale, outer.scale  # the sum over d2^n d3^(n-k)
+        return left.fraction(n, k), Fraction(_product_sum(inner, outer, n, k, d2, d3), d2**n * d3 ** (n - k))
 
     return Identity(
         ident="gs-composition",
@@ -226,8 +244,8 @@ def sss2_identity(z_values: Sequence) -> Identity:
 
     def evaluate(params, t):
         n, k, z = params
-        # z's table, and z = p/q
-        table, p, q = t.memo((evaluate, z), lambda t: (t.gs_triangle(1 / (z + 1), (z + 1) / z), *z.as_integer_ratio()))
+        # z's table T_{1/z,1}, which is GS_{1/(z+1);(z+1)/z}, and z = p/q
+        table, p, q = t.memo((evaluate, z), lambda t: (t.table(1 / z, 1), *z.as_integer_ratio()))
         lhs = Fraction(_s1s2_sum(t, n, k, p, q), q**n)
         return lhs, Fraction(p**n * table.value(n, k), q**n * table.scale ** (n - k))
 

@@ -22,14 +22,14 @@ families), row n holds D^(n-k) T(n, k), which satisfies
 
     D^(n+1-k) T(n+1, k) = D^(n-(k-1)) T(n, k-1) + (D*a*n + D*b*k) * D^(n-k) T(n, k),
 
-a recurrence with integer coefficients.  ``Triangles`` holds one for each
-integral family in ``RECURRENCES`` and returns their rows with
-``Triangles.rows``.  It holds one more per generalized-Stirling pair (s, h),
-returned by ``Triangles.gs_triangle``, whose D and integer rows serve exact
-sums over a common denominator; ``Triangles.gs_rows`` and ``Triangles.gs``
-give ``Fraction`` views of them, GS(n, k) = Fraction(row n [k], D^(n-k)).
-``Triangles.memo`` keeps what a caller derives from them, such as the
-tables one identity case reads, found again without hashing a ``Fraction``.
+a recurrence with integer coefficients.  ``Triangles.table(a, b)`` owns one
+per exact (a, b); ``Triangles.rows`` looks up a family by name and
+``Triangles.gs_triangle`` a generalized-Stirling pair (s, h), so the two
+share a table wherever their (a, b) agree.  D and the integer rows serve
+exact sums over a common denominator; ``Triangles.gs_rows`` and
+``Triangles.gs`` give ``Fraction`` views, GS(n, k) = row n [k] / D^(n-k).
+``Triangles.memo`` keeps what a caller derives from the tables, found again
+without hashing a ``Fraction``.
 
 Bessel numbers of the first kind b(n, k) and second kind B(n, k), and the
 Lah numbers L(n, k), also have module functions computing their factorial
@@ -81,6 +81,11 @@ class RecurrenceTriangle:
         """Entry (n, k) of the integer rows, 0 outside 0 <= k <= n."""
         row = self.rows(n)[n]
         return row[k] if 0 <= k <= n else 0
+
+    def fractions(self, n: int) -> list[tuple[Fraction, ...]]:
+        """Rows 0..n as ``Fraction``: row m holds T(m, 0..m)."""
+        d, rows = self.scale, self.rows(n)[: n + 1]
+        return [tuple(Fraction(v, d ** (m - k)) for k, v in enumerate(row)) for m, row in enumerate(rows)]
 
     def fraction(self, n: int, k: int) -> Fraction:
         """T(n, k) itself, D^(n-k) T(n, k) over D^(n-k); 0 outside 0 <= k <= n."""
@@ -162,47 +167,49 @@ _T = TypeVar("_T")
 
 
 class Triangles:
-    """The memoized recurrence tables: the integral families of
-    ``RECURRENCES`` and generalized Stirling numbers.
-
-    Generalized-Stirling tables are keyed by the exact rational pair
-    (s, h); no cache sharing between parameter pairs that agree only up
-    to scaling.
-    """
+    """The memoized recurrence tables, one per exact (a, b), built only by
+    ``table``: the families of ``RECURRENCES`` and the generalized-Stirling
+    pairs are names for some of them.  (a, b) are keyed by value, so equal
+    ints and Fractions find the same table."""
 
     def __init__(self):
-        self._tables = {family: RecurrenceTriangle(a, b) for family, (a, b) in RECURRENCES.items()}
-        self._stirling1, self._stirling2 = self._tables["stirling1"], self._tables["stirling2"]
+        self._tables: dict[tuple[Rational, Rational], RecurrenceTriangle] = {}
+        # (s, h) as passed, into _tables, so Triangles.gs skips gs_recurrence;
+        # equal ints, Fractions and floats hash alike, and the same objects skip __eq__
         self._gs: dict[tuple[Rational, Rational], RecurrenceTriangle] = {}
         self._memo: dict[tuple[int, ...], tuple[tuple, object]] = {}
 
+    def table(self, a: Rational, b: Rational) -> RecurrenceTriangle:
+        """The table of T(n+1, k) = T(n, k-1) + (a*n + b*k) * T(n, k)."""
+        table = self._tables.get((a, b))
+        if table is None:
+            table = self._tables[a, b] = RecurrenceTriangle(a, b)
+        return table
+
     def stirling1(self, n: int, k: int) -> int:
         """Unsigned Stirling number of the first kind (cycle counts)."""
-        return self._stirling1.value(n, k)
+        return self.table(1, 0).value(n, k)
 
     def stirling2(self, n: int, k: int) -> int:
         """Stirling number of the second kind (set partition counts)."""
-        return self._stirling2.value(n, k)
+        return self.table(0, 1).value(n, k)
 
     def stirling1_signed(self, n: int, k: int) -> int:
-        return self._tables["stirling1-signed"].value(n, k)
+        return self.table(-1, 0).value(n, k)
 
     def rows(self, family: str, n: int) -> list[tuple[int, ...]]:
         """The sealed rows of a family in ``RECURRENCES``, at least rows 0..n;
         row m holds T(m, 0..m)."""
-        return self._tables[family].rows(n)
+        return self.table(*RECURRENCES[family]).rows(n)
 
     def gs_triangle(self, s: Rational, h: Rational) -> RecurrenceTriangle:
-        """The generalized Stirling table with parameters (s, h), h != 0: row
-        m of its integer rows holds D^(m-k) GS(m, k) for k = 0..m."""
-        # keyed by the values as passed: equal ints, Fractions and floats hash
-        # alike, and a caller passing the same objects again skips __eq__
+        """``table(*gs_recurrence(s, h))``, the generalized Stirling table with
+        parameters (s, h), h != 0: row m holds D^(m-k) GS(m, 0..m)."""
         table = self._gs.get((s, h))
         if table is None:
-            fs, fh = Fraction(s), Fraction(h)
-            if fh == 0:
+            if h == 0:
                 raise ValueError("parameter h must be nonzero")
-            table = self._gs[s, h] = RecurrenceTriangle(*gs_recurrence(fs, fh))
+            table = self._gs[s, h] = self.table(*gs_recurrence(Fraction(s), Fraction(h)))
         return table
 
     def memo(self, key: tuple, derive: Callable[[Triangles], _T]) -> _T:
@@ -219,8 +226,7 @@ class Triangles:
     def gs_rows(self, s: Rational, h: Rational, n: int) -> list[tuple[Fraction, ...]]:
         """Rows 0..n of the generalized Stirling table with parameters (s, h),
         h != 0, as ``Fraction``; row m holds GS(m, 0..m)."""
-        table = self.gs_triangle(s, h)
-        return [tuple(table.fraction(m, k) for k in range(len(row))) for m, row in enumerate(table.rows(n)[: n + 1])]
+        return self.gs_triangle(s, h).fractions(n)
 
     def gs(self, s: Rational, h: Rational, n: int, k: int) -> Fraction:
         """Generalized Stirling number with parameters (s, h), h != 0."""

@@ -182,12 +182,8 @@ def test_c8_byte_identical_output(capsys):
     )
 
 
-def test_c9_mutation_sensitivity():
-    tables = Triangles()
-    tables.stirling1(10, 0)
-    row = list(tables._stirling1._rows[7])
-    row[3] = -row[3]
-    tables._stirling1._rows[7] = tuple(row)
+def test_c9_mutation_sensitivity(corrupt):
+    tables = corrupt(Triangles(), 1, 0, 7, 3)
 
     reports = run_suite(10, "all", tables=tables, jobs=1)
     failed = [r for r in reports if not r.passed]

@@ -54,6 +54,18 @@ class TestTriangle:
         assert code_gs == code_b == 0
         assert out_gs == out_b
 
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize("family", triangles.RECURRENCES)
+    def test_family_prints_as_its_gs_pair(self, capsys, family, fmt):
+        # GS_{a/(a+b);a+b} has the recurrence (a, b), so both read one table
+        a, b = triangles.RECURRENCES[family]
+        s, h = Fraction(a, a + b), a + b
+        code, out, _ = run_cli(capsys, "triangle", family, "--n", "40", "--format", fmt)
+        code_gs, out_gs, _ = run_cli(
+            capsys, "triangle", "gs", "--s", str(s), "--h", str(h), "--n", "40", "--format", fmt
+        )
+        assert code == code_gs == 0 and out_gs == out
+
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(capsys, "triangle", "bogus")
         assert code == 2
@@ -552,7 +564,7 @@ class TestValuesTooLargeToPrint:
         too. The first-column pre-check is patched away to reach the rows."""
         monkeypatch.setattr(cli, "_triangle_too_long", lambda a, b, n: False)
         rows = [(1,), (0, 1), (0, -(10**640), 10**639)]  # 10**639 has 640 digits and prints
-        monkeypatch.setattr(triangles.Triangles, "rows", lambda self, family, n: rows)
+        monkeypatch.setattr(triangles.DEFAULT.table(-1, 0), "rows", lambda n: rows)
         args = ("triangle", "stirling1-signed", "--n", "2", "--format", fmt)
         self.assert_refused(*self.run_at_lowest_limit(capsys, *args))
         # GS_{0;h}(m, k) = h^(m-k) S(m, k): with h = 1/10^100, the only part of

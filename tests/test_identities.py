@@ -212,27 +212,17 @@ class TestSuiteRunner:
         assert strip(serial) == strip(parallel)
 
 
-def _corrupted_tables(n, k):
-    tables = Triangles()
-    tables.stirling1(max(n + 3, 10), 0)  # force rows to exist
-    tri = tables._stirling1
-    row = list(tri._rows[n])
-    row[k] = -row[k]
-    tri._rows[n] = tuple(row)
-    return tables
-
-
 class TestMutationSensitivity:
-    def test_corrupted_value_is_detected(self):
-        tables = _corrupted_tables(6, 3)
+    def test_corrupted_value_is_detected(self, corrupt):
+        tables = corrupt(Triangles(), 1, 0, 6, 3)
         reports = run_suite(10, "all", tables=tables, jobs=1)
         failed = [r for r in reports if not r.passed]
         assert failed, "corruption went unnoticed"
         for r in failed:
             assert r.counterexample is not None
 
-    def test_counterexample_is_lexicographically_minimal(self):
-        tables = _corrupted_tables(6, 3)
+    def test_counterexample_is_lexicographically_minimal(self, corrupt):
+        tables = corrupt(Triangles(), 1, 0, 6, 3)
         for ident_id in ("thm1", "inversion"):
             identity = REGISTRY[ident_id]
             report = verify(ident_id, 10, tables)
@@ -244,8 +234,8 @@ class TestMutationSensitivity:
             ]
             assert report.counterexample.params == min(failures) == (6, 1)
 
-    def test_counterexample_reproduces_mismatch(self):
-        tables = _corrupted_tables(6, 3)
+    def test_counterexample_reproduces_mismatch(self, corrupt):
+        tables = corrupt(Triangles(), 1, 0, 6, 3)
         report = verify("inversion", 10, tables)
         ce = report.counterexample
         lhs, rhs = REGISTRY["inversion"].evaluate(ce.params, tables)
@@ -254,16 +244,21 @@ class TestMutationSensitivity:
     def test_clean_tables_unaffected(self):
         assert verify("inversion", 10).passed
 
-    def test_corrupted_gs_table_is_detected(self):
-        # GS(0, 1) is the outer table of the (-2, -1, 1) composition triple and
-        # the gs-special stirling2 table, so both identities must read it
-        tables = Triangles()
-        tables.gs(0, 1, 12, 0)  # force rows to exist
-        tri = tables._gs[(Fraction(0), Fraction(1))]
-        row = list(tri._rows[6])
-        row[3] = -row[3]
-        tri._rows[6] = tuple(row)
-        expected = {"gs-composition": (6, 3, (-2, -1, 1)), "gs-special": (6, 3, "stirling2")}
+    def test_corrupted_gs_table_is_detected(self, corrupt):
+        # T_{0,1} is S2 and GS(0, 1): the outer table of the (-2, -1, 1)
+        # composition triple and the gs-special stirling2 table
+        tables = corrupt(Triangles(), 0, 1, 6, 3)
+        self.assert_first_failures(tables, {"gs-composition": (6, 3, (-2, -1, 1)), "gs-special": (6, 3, "stirling2")})
+
+    def test_corrupted_stirling1_table_is_detected_by_gs_special(self, corrupt):
+        # T_{1,0} is s1 and GS(1, 1): the gs-special stirling1 table, and the
+        # inner table of the (1, 2, 1) composition triple, whose sums read
+        # inner row 6 from k = 1 on
+        tables = corrupt(Triangles(), 1, 0, 6, 3)
+        self.assert_first_failures(tables, {"gs-composition": (6, 1, (1, 2, 1)), "gs-special": (6, 3, "stirling1")})
+
+    @staticmethod
+    def assert_first_failures(tables, expected):
         for ident_id, first in expected.items():
             identity = REGISTRY[ident_id]
             report = verify(ident_id, 10, tables)
@@ -275,24 +270,11 @@ class TestMutationSensitivity:
             ]
             assert report.counterexample.params == min(failures) == first
 
-    def test_corrupted_fractional_gs_table_is_detected(self):
-        # GS(3/5, 5/2) is sss2's table at z = 2/3; its coefficients h*s = 3/2
-        # and h - h*s = 1 are not both integers
-        tables = Triangles()
-        tables.gs(Fraction(3, 5), Fraction(5, 2), 12, 0)  # force rows to exist
-        tri = tables._gs[(Fraction(3, 5), Fraction(5, 2))]
-        row = list(tri._rows[7])
-        row[4] = -row[4]
-        tri._rows[7] = tuple(row)
-        identity = REGISTRY["sss2"]
-        report = verify("sss2", 10, tables)
-        assert not report.passed
-        failures = [
-            params
-            for params in identity.cases(10)
-            if identity.evaluate(params, tables)[0] != identity.evaluate(params, tables)[1]
-        ]
-        assert report.counterexample.params == min(failures) == (7, 4, Fraction(2, 3))
+    def test_corrupted_fractional_gs_table_is_detected(self, corrupt):
+        # T_{3/2,1} is GS(3/5, 5/2), sss2's table at z = 2/3; its coefficients
+        # 3/2 and 1 are not both integers
+        tables = corrupt(Triangles(), Fraction(3, 2), 1, 7, 4)
+        self.assert_first_failures(tables, {"sss2": (7, 4, Fraction(2, 3))})
 
 
 GS_IDS = ("gs-scaling", "gs-special", "gs-composition", "sss2")
@@ -318,21 +300,16 @@ class TestGsTableLookup:
             counts.append(calls[0])
         assert counts[0] == counts[1]
 
-    def test_handles_belong_to_one_table_set(self):
+    def test_handles_belong_to_one_table_set(self, corrupt):
         clean = Triangles()
         assert all(verify(ident_id, 10, clean).passed for ident_id in GS_IDS)
-        corrupted = Triangles()
-        corrupted.gs(0, 1, 12, 0)  # force rows to exist
-        tri = corrupted._gs[(Fraction(0), Fraction(1))]
-        row = list(tri._rows[6])
-        row[3] = -row[3]
-        tri._rows[6] = tuple(row)
+        corrupted = corrupt(Triangles(), 0, 1, 6, 3)
         expected = {"gs-composition": (6, 3, (-2, -1, 1)), "gs-special": (6, 3, "stirling2")}
         for ident_id, first in expected.items():
             assert verify(ident_id, 10, corrupted).counterexample.params == first
         assert all(verify(ident_id, 10, clean).passed for ident_id in GS_IDS)
         ref = weakref.ref(corrupted)
-        del corrupted, tri
+        del corrupted
         gc.collect()
         assert ref() is None, "a cache outside the Triangles holds it alive"
 
@@ -372,12 +349,12 @@ class TestSerialization:
         assert header[-2:] == ["elapsed_ms", "cases"]
         assert [int(row[-1]) for row in rows] == counts
 
-    def test_case_count_stops_at_the_counterexample(self):
-        report = verify("inversion", 10, _corrupted_tables(6, 3))
+    def test_case_count_stops_at_the_counterexample(self, corrupt):
+        report = verify("inversion", 10, corrupt(Triangles(), 1, 0, 6, 3))
         assert report.cases == list(REGISTRY["inversion"].cases(10)).index((6, 1)) + 1
 
-    def test_counterexample_serialized(self, capsys, monkeypatch):
-        monkeypatch.setattr(triangles, "DEFAULT", _corrupted_tables(6, 3))
+    def test_counterexample_serialized(self, capsys, monkeypatch, corrupt):
+        monkeypatch.setattr(triangles, "DEFAULT", corrupt(Triangles(), 1, 0, 6, 3))
         assert main(["verify", "inversion", "--n-max", "8", "--format", "json", "--jobs", "1"]) == 1
         entry = json.loads(capsys.readouterr().out)[0]
         assert entry["status"] == "fail"

@@ -10,6 +10,8 @@ from hypothesis import given, strategies as st
 from stirbess.exactnum import factorial
 from stirbess.families import bessel_poly
 from stirbess.triangles import (
+    RECURRENCES,
+    RecurrenceTriangle,
     Triangles,
     bessel_B,
     bessel_b,
@@ -206,6 +208,35 @@ class TestRows:
         assert len(signed) == len(unsigned) == 201
         for n, (srow, urow) in enumerate(zip(signed, unsigned)):
             assert list(srow) == [(-1) ** (n - k) * v for k, v in enumerate(urow)], n
+
+
+class TestTable:
+    """``Triangles.table(a, b)`` owns one table per recurrence; family names
+    and GS pairs look it up."""
+
+    def test_one_table_per_recurrence(self):
+        t = Triangles()
+        assert t.table(1, 0) is t.table(Fraction(1), Fraction(0))
+        for family, (a, b) in RECURRENCES.items():
+            table = t.table(a, b)
+            assert t.gs_triangle(Fraction(a, a + b), a + b) is table, family
+            assert t.rows(family, 5) is table.rows(5), family
+
+    def test_only_table_builds(self, monkeypatch):
+        built = []
+        init = RecurrenceTriangle.__init__
+
+        def counting_init(self, a, b):
+            built.append((a, b))
+            init(self, a, b)
+
+        monkeypatch.setattr(RecurrenceTriangle, "__init__", counting_init)
+        t = Triangles()
+        for family in RECURRENCES:
+            t.rows(family, 3)
+        t.stirling1(3, 1), t.stirling2(3, 1), t.stirling1_signed(3, 1)
+        t.gs(1, 1, 3, 1), t.gs(Fraction(1, 2), 2, 3, 1), t.gs_rows(0, 1, 3), t.gs(Fraction(1, 2), -3, 3, 1)
+        assert built == [*RECURRENCES.values(), (Fraction(-3, 2), Fraction(-3, 2))]
 
 
 class TestMemo:
