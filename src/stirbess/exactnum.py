@@ -1,16 +1,17 @@
 """Arbitrary-precision combinatorial primitives.
 
 Factorials and binomial coefficients with integer, rational, or polynomial
-upper argument, plus rising/falling factorial polynomials.  Everything is
-exact: integers are Python ints, rationals are ``fractions.Fraction`` in
-canonical reduced form.
+upper argument, plus rising/falling factorial polynomials.  Every product of
+linear factors in the package is built one factor at a time by
+``times_linear``.  Everything is exact: integers are Python ints, rationals
+are ``fractions.Fraction`` in canonical reduced form.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .polys import Rational, UniPoly
 
@@ -42,12 +43,17 @@ def binomial_rat(a: Rational, k: int) -> Fraction:
     return Fraction(math.prod(p - j * q for j in range(k)), q**k * factorial(k))
 
 
+def times_linear(c: int, p: Sequence[int]) -> list[int]:
+    """(X + c) * p for p given by its coefficients, lowest power first."""
+    return [c * a + b for a, b in zip([*p, 0], [0, *p])]
+
+
 def _linear_product(constants: Iterable[int]) -> UniPoly:
     """(X + c) for each c in ``constants``, multiplied out."""
-    prod = UniPoly((1,))
+    prod = [1]
     for c in constants:
-        prod = prod * UniPoly((c, 1))
-    return prod
+        prod = times_linear(c, prod)
+    return UniPoly(prod)
 
 
 def binomial_poly_upper(c: int, k: int) -> UniPoly:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import triangles
-from .exactnum import binomial_int, factorial
+from .exactnum import binomial_int, factorial, times_linear
 from .polys import BiPoly, UniPoly
 from .triangles import Triangles
 
@@ -55,25 +55,20 @@ def pn_recurrence(n: int) -> BiPoly:
     return _pn_cache[n]
 
 
-def _times_z_plus(c: int, p: list[int]) -> list[int]:
-    """(z + c) * p for p given by its coefficients in z."""
-    return [c * a + b for a, b in zip(p + [0], [0] + p)]
-
-
 def _next_q(n: int) -> list[list[int]]:
     """Q_{n+1} from the cached Q_1..Q_n.
 
     R_{n-m,n-m+1}(z) = z (z+1) ... (z+n-m), so the sum is z * G_n in Horner
     form: G_1 = Q_1 and G_m = C(n, m-1) Q_m + (z+n-m+1) G_{m-1}.  That costs
-    one linear factor per term instead of a full product by R.
+    one linear factor per term instead of a full product by R.  Every Q_m
+    is divisible by x, so x times the sum has no x^1 term: the cached x row
+    of Q_n is R_{n-1,n-1}, and R_{n,n} = (z+1) ... (z+n) is (z+n) times it.
     """
-    r = [1]
-    for c in range(1, n + 1):
-        r = _times_z_plus(c, r)  # R_{n,n} = (z+1) ... (z+n)
+    r = times_linear(n, _qn_cache[n][1])  # R_{n,n}
     g: list[list[int]] = []  # G_m, rows for x^1..x^m
     for m in range(1, n + 1):
         binom = binomial_int(n, m - 1)
-        g = [_times_z_plus(n - m + 1, row) for row in g] + [[0] * m]
+        g = [times_linear(n - m + 1, row) for row in g] + [[0] * m]
         g = [[a + binom * v for a, v in zip(row, q_row)] for row, q_row in zip(g, _qn_cache[m][1:])]
     return [[], r] + [[0] + [-v for v in row] for row in g]  # x * (R_{n,n} - z G_n)
 

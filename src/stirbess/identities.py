@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import families, triangles
-from .exactnum import binomial_rat, factorial, rising_factorial_poly
+from .exactnum import binomial_rat, factorial, rising_factorial_poly, times_linear
 from .polys import UniPoly
 from .triangles import Triangles, bessel_B, bessel_b, lah
 
@@ -164,10 +164,15 @@ GS_COMPOSITION_TRIPLES: tuple[tuple[Fraction, Fraction, Fraction], ...] = (
 SSS2_Z_VALUES = (Fraction(1), Fraction(-2), Fraction(-1, 2), Fraction(3), Fraction(2, 3))
 
 
-@functools.cache
+_s1_rows: list[tuple[int, ...]] = [(1,)]  # index n -> s1(n, 0..n); see _stirling1_row
+
+
 def _stirling1_row(n: int) -> tuple[int, ...]:
-    """s1(n, 0..n), the coefficients of x(x+1)...(x+n-1)."""
-    return rising_factorial_poly(n).coeffs
+    """s1(n, 0..n), the coefficients of x(x+1)...(x+n-1); prefix-cached, as
+    row m+1 is (x+m) times row m."""
+    while len(_s1_rows) <= n:
+        _s1_rows.append(tuple(times_linear(len(_s1_rows) - 1, _s1_rows[-1])))
+    return _s1_rows[n]
 
 
 @functools.cache
@@ -281,6 +286,9 @@ def default_hagen_rothe_cases() -> tuple[tuple, ...]:
 
 def hagen_rothe_identity(cases: Sequence[tuple]) -> Identity:
     """The Hagen-Rothe convolution on the given (a, b, c, n) cases; ignores n_max."""
+    for a, b, c, n in cases:  # refused, not truncated: int() below would make another case
+        if Fraction(b).denominator != 1 or Fraction(n).denominator != 1:
+            raise ValueError(f"case {(a, b, c, n)}: b and n must be integers")
     # sorted so the case order is lexicographic in (a, b, c, n); duplicates stay
     norm = tuple(sorted((Fraction(a), int(b), Fraction(c), int(n)) for a, b, c, n in cases))
     for a, b, c, n in norm:
@@ -391,12 +399,12 @@ def _rising_eval(params, t):
 
 def _falling_eval(params, t):
     (n,) = params
-    acc = UniPoly()
-    falling = UniPoly((1,))  # x(x-1)...(x-k+1)
+    acc = [0] * (n + 1)
+    falling = [1]  # x(x-1)...(x-k+1)
     for k, s2 in enumerate(t.rows("stirling2", n)[n]):
-        acc = acc + s2 * falling
-        falling = falling * UniPoly((-k, 1))
-    return acc, UniPoly.monomial(n)
+        acc[: k + 1] = [a + s2 * f for a, f in zip(acc, falling)]
+        falling = times_linear(-k, falling)
+    return UniPoly(acc), UniPoly.monomial(n)
 
 
 # ---------------------------------------------------------------------------

@@ -127,19 +127,6 @@ class UniPoly:
     def __rmul__(self, other: Rational) -> "UniPoly":
         return self.__mul__(other)
 
-    def __pow__(self, exponent: int) -> "UniPoly":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = UniPoly((1,))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def shifted(self, k: int) -> "UniPoly":
         """Multiply by x**k."""
         if k < 0:

@@ -10,6 +10,7 @@ from stirbess.exactnum import (
     factorial,
     falling_factorial_poly,
     rising_factorial_poly,
+    times_linear,
 )
 from stirbess.polys import UniPoly
 from stirbess.triangles import stirling1, stirling2
@@ -119,6 +120,12 @@ def test_binomial_poly_upper_eval_grid():
     for z in grid:
         assert binomial_poly_upper(3, 4)(z) == binomial_rat(3 + z, 4)
         assert binomial_poly_upper(-2, 5)(z) == binomial_rat(-2 + z, 5)
+
+
+def test_times_linear_frozen():
+    assert times_linear(2, [1, 1]) == [2, 3, 1]  # (x + 2)(1 + x)
+    assert times_linear(-3, (0, 1)) == [0, -3, 1]  # a tuple in, a list out
+    assert times_linear(0, [5]) == [0, 5]
 
 
 def test_rising_factorial_frozen():

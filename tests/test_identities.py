@@ -2,19 +2,26 @@ import csv
 import gc
 import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import stirbess
 from stirbess import triangles
 from stirbess.cli import main
+from stirbess.exactnum import rising_factorial_poly
 from stirbess.identities import (
     REGISTRY,
     IDENTITY_IDS,
     _s1s2_sum,
+    _stirling1_row,
     default_hagen_rothe_cases,
     gs_composition_identity,
     hagen_rothe_identity,
@@ -171,6 +178,16 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             verify(hagen_rothe_identity([(Fraction(-2), 1, Fraction(3), 4)]), 1)  # a + b*2 = 0
 
+    def test_hagen_rothe_refuses_non_integral_b_and_n(self):
+        # truncated, these would run as the cases (1, 0, 4, 2) and (1, 2, 4, 2)
+        for case in [(1, Fraction(1, 2), 4, 2), (1, 2, 4, 2.7), (1, 2, 4, Fraction(5, 2))]:
+            with pytest.raises(ValueError, match="b and n must be integers"):
+                hagen_rothe_identity([case])
+
+    def test_hagen_rothe_keeps_integral_b_and_n_as_int(self):
+        (case,) = hagen_rothe_identity([(1, Fraction(2), 4, 2.0)]).cases(1)
+        assert case == (1, 2, 4, 2) and type(case[1]) is int and type(case[3]) is int
+
     def test_unknown_identity_id(self):
         with pytest.raises(ValueError, match="unknown identity id"):
             verify("nosuch", 5)
@@ -275,6 +292,35 @@ class TestMutationSensitivity:
         # 3/2 and 1 are not both integers
         tables = corrupt(Triangles(), Fraction(3, 2), 1, 7, 4)
         self.assert_first_failures(tables, {"sss2": (7, 4, Fraction(2, 3))})
+
+    def test_linear_step_is_on_one_side_only(self):
+        # (X + c + 1) in place of (X + c) wherever the shared step is bound;
+        # a fresh interpreter, as the P_n, Q_n and s1 reference rows are cached
+        code = (
+            "import json, sys\n"
+            "from stirbess import exactnum, identities\n"
+            "step = exactnum.times_linear\n"
+            "for name, mod in list(sys.modules.items()):\n"
+            "    if name.startswith('stirbess.') and getattr(mod, 'times_linear', None) is step:\n"
+            "        mod.times_linear = lambda c, p: step(c + 1, p)\n"
+            "reports = [identities.verify(i, 8) for i in identities.IDENTITY_IDS]\n"
+            "print(json.dumps({r.identity_id: repr(r.counterexample.params) for r in reports if not r.passed}))\n"
+        )
+        path = [str(Path(stirbess.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {
+            "gs-special": "(1, 0, 'stirling1')",
+            "pn-closed": "(2,)",
+            "pn-special-z": "(2, 'z=-1')",
+            "rising-factorial": "(1,)",
+            "falling-factorial": "(1,)",
+        }
+
+    def test_stirling1_reference_is_the_rising_factorial(self):
+        for n in range(61):
+            assert _stirling1_row(n) == rising_factorial_poly(n).coeffs, n
 
 
 GS_IDS = ("gs-scaling", "gs-special", "gs-composition", "sss2")
