@@ -533,6 +533,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # numpy starts OpenBLAS with one thread per CPU when it loads, and no
+    # command makes a BLAS call, so those threads only cost start-up CPU; a
+    # value the user set stays, and in-process main() calls leave it alone
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

@@ -101,6 +101,14 @@ def _binomial_row(n: int) -> tuple[int, ...]:
     return tuple(math.comb(n, k) for k in range(n + 1))
 
 
+def _rational_param(name: str, value) -> Fraction:
+    """``value`` as a Fraction.  A float is refused: ``Fraction(0.1)`` is its
+    binary value 3602879701896397/2**55, not the 1/10 a caller means."""
+    if isinstance(value, float):
+        raise ValueError(f"{name} must be an int or Fraction, not the float {value!r}")
+    return Fraction(value)
+
+
 # ---------------------------------------------------------------------------
 # the two Stirling-to-Bessel summations
 
@@ -212,7 +220,9 @@ def _gs_special_eval(params, t):
 def gs_composition_identity(triples: Sequence[tuple]) -> Identity:
     """The composition law of GS over the given (s, nu, sigma) triples."""
     # triples sorted so the case order is lexicographic in (n, k, triple)
-    norm = tuple(sorted((Fraction(s), Fraction(nu), Fraction(sg)) for s, nu, sg in triples))
+    norm = tuple(sorted(
+        (_rational_param("s", s), _rational_param("nu", nu), _rational_param("sigma", sg)) for s, nu, sg in triples
+    ))
     for s, nu, sigma in norm:
         if nu == 0:
             raise ValueError("composition triple requires nu != 0")
@@ -242,7 +252,7 @@ def gs_composition_identity(triples: Sequence[tuple]) -> Identity:
 
 def sss2_identity(z_values: Sequence) -> Identity:
     """The z-weighted Stirling product sum as a GS value, over the given z."""
-    zs = tuple(sorted(Fraction(z) for z in z_values))
+    zs = tuple(sorted(_rational_param("z", z) for z in z_values))
     for z in zs:
         if z == 0 or z == -1:
             raise ValueError("z must avoid 0 and -1")
@@ -290,7 +300,7 @@ def hagen_rothe_identity(cases: Sequence[tuple]) -> Identity:
         if Fraction(b).denominator != 1 or Fraction(n).denominator != 1:
             raise ValueError(f"case {(a, b, c, n)}: b and n must be integers")
     # sorted so the case order is lexicographic in (a, b, c, n); duplicates stay
-    norm = tuple(sorted((Fraction(a), int(b), Fraction(c), int(n)) for a, b, c, n in cases))
+    norm = tuple(sorted((_rational_param("a", a), int(b), _rational_param("c", c), int(n)) for a, b, c, n in cases))
     for a, b, c, n in norm:
         if n < 0:
             raise ValueError("n must be nonnegative")

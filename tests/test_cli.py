@@ -636,6 +636,40 @@ def test_exact_commands_do_not_import_numpy():
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_process_runs_one_thread_after_simulate(preset, expected):
+    # a fresh interpreter running the module as a user does, since numpy reads
+    # OPENBLAS_NUM_THREADS once, when it is first imported
+    code = (
+        "import io, os, runpy, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "sys.argv = ['stirbess'] + 'simulate --alpha 0.3 --steps 100 --paths 1000 --jobs 1 --format json'.split()\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('stirbess.cli', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+        "assert 'numpy' in sys.modules\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "status = '/proc/self/status'\n"
+        "print(next(line.split()[1] for line in open(status) if line.startswith('Threads:'))"
+        " if os.path.exists(status) else '')\n"
+    )
+    path = [str(Path(stirbess.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    blas_threads, threads = done.stdout.split("\n")[:2]
+    assert blas_threads == expected
+    if preset is None:
+        if not threads:
+            pytest.skip("no /proc/self/status to count threads")
+        assert threads == "1"
+
+
 _CSV_TEXT = st.text(st.one_of(
     st.sampled_from(',"\r\n '), st.characters(exclude_categories=("Cs",), exclude_characters="\x00")
 ))

@@ -188,6 +188,22 @@ class TestParameterValidation:
         (case,) = hagen_rothe_identity([(1, Fraction(2), 4, 2.0)]).cases(1)
         assert case == (1, 2, 4, 2) and type(case[1]) is int and type(case[3]) is int
 
+    def test_hagen_rothe_refuses_float_a_and_c(self):
+        # Fraction(0.1) is 3602879701896397/36028797018963968, a case nobody meant
+        with pytest.raises(ValueError, match="^a must be an int or Fraction, not the float 0.1$"):
+            hagen_rothe_identity([(0.1, 2, 4, 2)])
+        with pytest.raises(ValueError, match="^c must be an int or Fraction, not the float 4.0$"):
+            hagen_rothe_identity([(1, 2, 4.0, 2)])
+
+    def test_sss2_refuses_float_z(self):
+        with pytest.raises(ValueError, match="^z must be an int or Fraction, not the float 0.1$"):
+            sss2_identity([Fraction(2), 0.1])
+
+    def test_gs_composition_refuses_float_parameters(self):
+        for triple, name in [((0.5, 2, 1), "s"), ((1, 2.0, 1), "nu"), ((1, 2, 1.5), "sigma")]:
+            with pytest.raises(ValueError, match=f"^{name} must be an int or Fraction, not the float"):
+                gs_composition_identity([triple])
+
     def test_unknown_identity_id(self):
         with pytest.raises(ValueError, match="unknown identity id"):
             verify("nosuch", 5)
