@@ -12,8 +12,13 @@ Usage:
 """
 
 import argparse
+import os
 
-from stirbess.occupation import SimConfig, estimate_moments
+# numpy starts OpenBLAS with one thread per CPU when it loads, and the walk
+# makes no BLAS call; the CLI entry point sets the same default
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from stirbess.occupation import SimConfig, estimate_moments  # noqa: E402  (after the default above)
 
 
 def main() -> None:

@@ -487,8 +487,8 @@ def _cmd_simulate(args) -> int | _Output:
             seed=args.seed,
         )
         jobs = _default_jobs(args.jobs)
-        if args.t is not None and not 0 < args.t <= 1:
-            raise ValueError("--t must lie in (0, 1]")
+        if args.t is not None:
+            occupation._intervals(config, args.t)  # refuses a t outside (0, 1] or below one interval
     except ValueError as exc:
         return _usage_error(str(exc))
     with_t = args.t is not None

@@ -38,10 +38,13 @@ cut at h.  So A_t and A_1 of ``simulate --t`` come from the same paths, and
 the count at the latest horizon does not depend on which others are asked.
 
 Determinism: paths are partitioned into fixed blocks of ``BATCH_PATHS``;
-block b draws from a counter-based Philox stream keyed by (seed, b), and
-moment accumulation is exact integer arithmetic on the per-path lattice
-counts.  A given ``SimConfig`` therefore produces bit-identical results
-regardless of the worker count.
+block b draws from a counter-based Philox stream keyed by (seed, b).  Each
+block reduces its per-path lattice counts to exact integer power sums
+[paths, sum(c), ..., sum(c^(2 * max_moment))] at each horizon, and the
+blocks' sums are added in block order, so the moments are exact functions
+of the counts.  A given ``SimConfig`` therefore produces bit-identical
+results regardless of the worker count, and a process holds one block's
+counts at a time, however many paths there are.
 """
 
 from __future__ import annotations
@@ -62,8 +65,10 @@ BATCH_PATHS = 32768
 # takes about sqrt(N) rounds, and a round costs about 27 ns per path plus
 # about 27 us of fixed numpy work, the cost of ROUND_OVERHEAD_PATHS paths.
 # MAX_PATH_ROUNDS of isqrt(steps) * (paths + ROUND_OVERHEAD_PATHS) is about a
-# minute of one core.  The counts take about 24 bytes per path, so MAX_PATHS
-# keeps them near 800 MB however short the walk.
+# minute of one core.  The moment estimates hold one block's counts at a time;
+# only path_occupation_counts still holds every count, about 24 bytes per path
+# with the concatenation, so MAX_PATHS keeps it near 800 MB however short the
+# walk.
 ROUND_OVERHEAD_PATHS = 1000
 MAX_PATH_ROUNDS = 2 * 10**9
 MAX_PATHS = 2**25
@@ -141,26 +146,63 @@ def _walk_counts(alpha: float, horizons: tuple[int, ...], size: int, rng: np.ran
     uniform kind, then path): u gives W = sin^2(pi u / 2) ~ Beta(1/2, 1/2),
     v the geometric half-length T = ceil(log(1 - v) / log(1 - W)) >= 1,
     and the sign draw is positive iff it is below alpha.
+
+    The m unfinished paths of a round occupy the first m entries of arrays
+    sized once for the block: every step writes into them with ``out=``, in
+    the order of the expression in the comment above it, so each float is the
+    one that expression gives, and the survivors move to the front.
     """
     *inner, intervals = horizons
     occ = np.zeros((len(horizons), size), dtype=np.int64)
     *inner_rows, last = occ  # 1-D row views: occ[-1, idx] += ... costs about 10 % more
-    idx = np.arange(size)
-    left = np.full(size, float(intervals))
-    while idx.size:
-        u, v, sign = rng.random((3, idx.size))
+    idx_buf = np.arange(size)
+    left_buf = np.full(size, float(intervals))
+    draws = np.empty(3 * size)
+    span_buf = np.empty(size)
+    gain_buf = np.empty(size, dtype=np.int64)
+    positive_buf = np.empty(size, dtype=bool)
+    m = size
+    while m:
+        idx, left, span, gain, positive = idx_buf[:m], left_buf[:m], span_buf[:m], gain_buf[:m], positive_buf[:m]
+        # a C-contiguous (3, m) view draws the stream of rng.random((3, m))
+        u, v, sign = rng.random(out=draws[: 3 * m].reshape(3, m))
         with np.errstate(divide="ignore", invalid="ignore"):  # W = 1 is log 0; u = v = 0 is 0/0
-            half = np.log1p(-v) / np.log1p(-np.sin(0.5 * np.pi * u) ** 2)
+            # half = log1p(-v) / log1p(-sin(0.5 * pi * u) ** 2), written to v
+            np.multiply(0.5 * np.pi, u, out=u)
+            np.sin(u, out=u)
+            np.square(u, out=u)
+            np.negative(u, out=u)
+            np.log1p(u, out=u)
+            np.negative(v, out=v)
+            np.log1p(v, out=v)
+            half = np.divide(v, u, out=v)
         # Sibuya(1/2) has infinite mean, so clip while still a float; fmin
         # also sends the NaN of u = v = 0 (W = 0, so T is infinite) to the clip
-        span = np.minimum(2.0 * np.maximum(np.ceil(np.fmin(half, left)), 1.0), left)
-        positive = sign < alpha
+        # span = minimum(2 * maximum(ceil(fmin(half, left)), 1), left)
+        np.fmin(half, left, out=span)
+        np.ceil(span, out=span)
+        np.maximum(span, 1.0, out=span)
+        np.multiply(2.0, span, out=span)
+        np.minimum(span, left, out=span)
+        np.less(sign, alpha, out=positive)
+        part = u  # u is spent: it holds each gain while still a float
         for row, h in zip(inner_rows, inner):
-            row[idx] += (np.clip(h - (intervals - left), 0.0, span) * positive).astype(np.int64)
-        last[idx] += (span * positive).astype(np.int64)
+            # row[idx] += int(clip(h - (intervals - left), 0, span) * positive)
+            np.subtract(intervals, left, out=part)
+            np.subtract(h, part, out=part)
+            np.clip(part, 0.0, span, out=part)
+            np.multiply(part, positive, out=part)
+            np.copyto(gain, part, casting="unsafe")
+            row[idx] += gain
+        # last[idx] += int(span * positive)
+        np.multiply(span, positive, out=part)
+        np.copyto(gain, part, casting="unsafe")
+        last[idx] += gain
         left -= span
-        keep = left > 0
-        idx, left = idx[keep], left[keep]
+        keep = np.greater(left, 0.0, out=positive)
+        m = np.count_nonzero(keep)
+        idx_buf[:m] = idx[keep]
+        left_buf[:m] = left[keep]
     return occ
 
 
@@ -168,52 +210,78 @@ def _block_counts(alpha: float, horizons: tuple[int, ...], size: int, seed: int,
     return _walk_counts(alpha, horizons, size, np.random.Generator(np.random.Philox(key=[seed, block])))
 
 
+def _power_sums(counts: np.ndarray, top: int) -> list[int]:
+    """[len(counts), sum(c), sum(c^2), ..., sum(c^top)] as exact integers."""
+    sums = [int(counts.size)] + [0] * top
+    values, multiplicities = np.unique(counts, return_counts=True)
+    for c, m in zip(values.tolist(), multiplicities.tolist()):  # exact integers, one power at a time
+        p = m
+        for n in range(1, top + 1):
+            p *= c
+            sums[n] += p
+    return sums
+
+
+def _block_sums(
+    alpha: float, horizons: tuple[int, ...], size: int, seed: int, block: int, top: int
+) -> list[list[int]]:
+    """One block's ``_power_sums`` up to order ``top`` at each horizon: all a
+    worker sends back, however many paths the block holds."""
+    return [_power_sums(row, top) for row in _block_counts(alpha, horizons, size, seed, block)]
+
+
 def _intervals(config: SimConfig, time_fraction: Rational) -> int:
     t = Fraction(time_fraction)
     if not 0 < t <= 1:
-        raise ValueError("time fraction must lie in (0, 1]")
-    return math.floor(t * config.steps)
+        raise ValueError("time fraction t must lie in (0, 1]")
+    intervals = math.floor(t * config.steps)
+    if intervals < 1:
+        raise ValueError(f"time fraction t = {t} covers no interval of a {config.steps}-step walk")
+    return intervals
 
 
-def _horizon_counts(config: SimConfig, horizons: tuple[int, ...], jobs: int) -> np.ndarray:
-    """Per-path counts for each of the sorted ``horizons``, one row each, in
-    path order, from one walk per block."""
+def _map_blocks(fn, config: SimConfig, horizons: tuple[int, ...], jobs: int, *extra) -> list:
+    """``fn(alpha, horizons, size, seed, block, *extra)`` for each block of
+    ``BATCH_PATHS`` paths, the last possibly short, in block order."""
     blocks = []
     start = 0
     b = 0
     while start < config.paths:
         size = min(BATCH_PATHS, config.paths - start)
-        blocks.append((config.alpha, horizons, size, config.seed, b))
+        blocks.append((config.alpha, horizons, size, config.seed, b, *extra))
         start += size
         b += 1
     if jobs > 1 and len(blocks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
-            parts = list(pool.map(_block_counts, *zip(*blocks)))
-    else:
-        parts = [_block_counts(*blk) for blk in blocks]
-    return np.concatenate(parts, axis=1)
+            return list(pool.map(fn, *zip(*blocks)))
+    return [fn(*blk) for blk in blocks]
+
+
+def _horizon_counts(config: SimConfig, horizons: tuple[int, ...], jobs: int) -> np.ndarray:
+    """Per-path counts for each of the sorted ``horizons``, one row each, in
+    path order, from one walk per block."""
+    return np.concatenate(_map_blocks(_block_counts, config, horizons, jobs), axis=1)
 
 
 def path_occupation_counts(
     config: SimConfig, time_fraction: Rational = 1, jobs: int = 1
 ) -> np.ndarray:
     """Per-path lattice occupation counts over the first
-    floor(time_fraction * steps) intervals, in path order."""
+    floor(time_fraction * steps) intervals, in path order.  Unlike the
+    moment estimates, this holds every path's count at once."""
     return _horizon_counts(config, (_intervals(config, time_fraction),), jobs)[0]
 
 
 def _summarize(counts: np.ndarray, config: SimConfig, t: Fraction) -> SimResult:
-    m_paths = int(counts.size)
-    top = 2 * config.max_moment
-    power_sums = [0] * (top + 1)
-    values, multiplicities = np.unique(counts, return_counts=True)
-    for c, m in zip(values.tolist(), multiplicities.tolist()):  # exact integers
-        p = m
-        for n in range(1, top + 1):
-            p *= c
-            power_sums[n] += p
+    return _summary(_power_sums(counts, 2 * config.max_moment), config, t)
+
+
+def _summary(power_sums: Sequence[int], config: SimConfig, t: Fraction) -> SimResult:
+    """The moment estimates at time fraction t from the exact power sums
+    [paths, sum(c), ..., sum(c^(2 * max_moment))] of the counts."""
+    m_paths = power_sums[0]
     alpha_exact = Fraction(config.alpha)
     steps = Fraction(config.steps)
     records = []
@@ -253,5 +321,6 @@ def estimate_moments_at(config: SimConfig, times: Sequence[Rational], jobs: int 
     fractions = [Fraction(t) for t in times]
     intervals = [_intervals(config, t) for t in fractions]
     horizons = tuple(sorted(set(intervals)))
-    counts = _horizon_counts(config, horizons, jobs)
-    return tuple(_summarize(counts[horizons.index(i)], config, t) for i, t in zip(intervals, fractions))
+    per_block = _map_blocks(_block_sums, config, horizons, jobs, 2 * config.max_moment)
+    totals = [[sum(column) for column in zip(*sums)] for sums in zip(*per_block)]  # block order, exact
+    return tuple(_summary(totals[horizons.index(i)], config, t) for i, t in zip(intervals, fractions))

@@ -317,6 +317,13 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "--alpha", "0.5", "--t", "0", "--steps", "10", "--paths", "10")
         assert code == 2
 
+    def test_t_below_one_interval_refused(self, capsys, no_walk):
+        # floor(t * steps) = 0 would compare a mean of 0 with the exact t/2 and report no z
+        code, out, err = run_cli(
+            capsys, "simulate", "--alpha", "0.5", "--steps", "10", "--paths", "1000", "--t", "1/20", "--jobs", "1",
+        )
+        assert code == 2 and out == "" and "covers no interval" in err
+
     def test_json_deterministic(self, capsys):
         args = (
             "simulate", "--alpha", "0.5", "--steps", "200", "--paths", "1000",

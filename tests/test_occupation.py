@@ -1,15 +1,21 @@
 import json
 import math
+import os
+import sys
 from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stirbess
 from stirbess.cli import main
 from stirbess.occupation import (
     SimConfig,
     _horizon_counts,
+    _intervals,
+    _summarize,
     _walk_counts,
     estimate_moments,
     estimate_moments_at,
@@ -191,6 +197,23 @@ class TestHorizons:
         serial = _horizon_counts(self.CONFIG, (100, 301), jobs=1)
         assert (serial == _horizon_counts(self.CONFIG, (100, 301), jobs=3)).all()
 
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_block_sums_add_up_to_the_summary_of_all_counts(self, monkeypatch, jobs):
+        # 1300 paths in blocks of 512: the last block is short
+        monkeypatch.setattr("stirbess.occupation.BATCH_PATHS", 512)
+        config = SimConfig(alpha=0.42, steps=301, paths=1300, max_moment=3, seed=11)
+        inner, full = _horizon_counts(config, (200, 301), jobs=1)
+        expected = (_summarize(full, config, Fraction(1)), _summarize(inner, config, Fraction(2, 3)))
+        assert repr(estimate_moments_at(config, (1, Fraction(2, 3)), jobs)) == repr(expected)
+
+    def test_estimates_hold_no_concatenated_counts(self, monkeypatch):
+        def concatenated(*args):
+            raise AssertionError("gathered every path's count")
+
+        monkeypatch.setattr("stirbess.occupation._horizon_counts", concatenated)
+        full, half = estimate_moments_at(self.CONFIG, (1, Fraction(1, 2)))
+        assert full.paths_used == half.paths_used == self.CONFIG.paths
+
     def test_estimates_in_the_order_asked(self):
         full, half, again = estimate_moments_at(self.CONFIG, (1, Fraction(1, 2), 1))
         assert full == again == estimate_moments(self.CONFIG)
@@ -319,6 +342,16 @@ class TestSelfSimilarity:
         with pytest.raises(ValueError):
             estimate_moments(config, t=Fraction(3, 2))
 
+    def test_horizon_of_no_interval_refused(self):
+        # floor(t * steps) = 0 leaves no interval to count
+        config = SimConfig(alpha=0.5, steps=10, paths=1000, max_moment=1, seed=1)
+        for t in (Fraction(1, 20), Fraction(99, 1000)):
+            with pytest.raises(ValueError, match="covers no interval"):
+                estimate_moments(config, t=t)
+            with pytest.raises(ValueError, match="covers no interval"):
+                path_occupation_counts(config, t)
+        assert _intervals(config, Fraction(1, 10)) == 1
+
 
 class TestSerialization:
     ARGS = ["simulate", "--alpha", "0.5", "--steps", "100", "--paths", "200", "--moments", "2", "--seed", "4",
@@ -349,3 +382,27 @@ class TestSerialization:
         # exact values travel as strings; floats only at the comparison boundary
         assert isinstance(moment["exact"], str)
         assert isinstance(moment["empirical_mean"], float)
+
+
+def _peak_rss_bytes(argv: list[str]) -> int:
+    """Peak RSS of a fresh ``stirbess`` process running ``argv``."""
+    path = [str(Path(stirbess.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    pid = os.posix_spawn(
+        sys.executable,
+        [sys.executable, "-m", "stirbess.cli", *argv],
+        env,
+        file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)],
+    )
+    _, status, usage = os.wait4(pid, 0)
+    assert os.waitstatus_to_exitcode(status) in (0, 1)  # 1: a z-score of the N = 16 limit bias
+    return usage.ru_maxrss * (1 if sys.platform == "darwin" else 1024)  # bytes on macOS, KiB elsewhere
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4") or not hasattr(os, "posix_spawn"), reason="needs os.wait4")
+def test_simulate_memory_does_not_grow_with_paths():
+    # one block's working set at a time: 62 blocks cost no more memory than 2
+    base = "simulate --alpha 0.5 --steps 16 --moments 2 --jobs 1 --paths".split()
+    small = _peak_rss_bytes(base + ["65536"])
+    large = _peak_rss_bytes(base + ["2000000"])
+    assert large - small < 8 * 2**20
