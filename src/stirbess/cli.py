@@ -286,19 +286,19 @@ def _unipoly_output(args, poly, z) -> _Output:
 
 
 def _bipoly_output(args, poly) -> _Output:
-    items = poly.items()
+    names, items = poly.variables, poly.items()
+    line = " ".join(f"{v}^{{}}" for v in names) + ": {}"  # "x^{} z^{}: {}" for P_n
     return _Output(
         0,
-        lines=(f"x^{i} z^{j}: {c}" for (i, j), c in items),
+        lines=(line.format(*key, c) for key, c in items),
         payload=lambda: {
             "which": args.which,
             "n": args.n,
-            "variables": ["x", "z"],
-            "terms": [{"x": i, "z": j, "coefficient": str(c)} for (i, j), c in items],
+            "variables": list(names),
+            "terms": [dict(zip(names, key), coefficient=str(c)) for key, c in items],
         },
-        csv=map(
-            _csv_line, itertools.chain([("x_power", "z_power", "coefficient")], ((i, j, c) for (i, j), c in items))
-        ),
+        csv=map(_csv_line, itertools.chain([(*map("{}_power".format, names), "coefficient")],
+                                           (key + (c,) for key, c in items))),
         exact=(c for _, c in items),
     )
 

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import families, triangles
 from .exactnum import binomial_rat, factorial, rising_factorial_poly, times_linear
-from .polys import UniPoly
+from .polys import UniPoly, _refuse_float
 from .triangles import Triangles, bessel_B, bessel_b, lah
 
 
@@ -102,10 +102,9 @@ def _binomial_row(n: int) -> tuple[int, ...]:
 
 
 def _rational_param(name: str, value) -> Fraction:
-    """``value`` as a Fraction.  A float is refused: ``Fraction(0.1)`` is its
-    binary value 3602879701896397/2**55, not the 1/10 a caller means."""
-    if isinstance(value, float):
-        raise ValueError(f"{name} must be an int or Fraction, not the float {value!r}")
+    """``value`` as a Fraction; a float is refused, as for a polynomial
+    variable."""
+    _refuse_float(name, value)
     return Fraction(value)
 
 

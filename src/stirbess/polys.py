@@ -1,19 +1,24 @@
 """Exact polynomial arithmetic over the rationals.
 
-``UniPoly`` is a dense univariate polynomial, ``BiPoly`` a sparse bivariate
-polynomial in the formal variables x and z.  Coefficients are exact, ``int``
-or ``fractions.Fraction``, never ``float``: each keeps the type its
-arithmetic gave, so an integral family stays ``int`` and only a division
-makes a ``Fraction``.  The two compare, hash and print alike.  Every
-operation is exact, and values are immutable after construction.  ``BiPoly``
-holds the coefficients of P_n(x, z) for comparison, evaluation and printing;
-it has no addition.
+``UniPoly`` is a dense univariate polynomial.  ``SparsePoly`` is the one
+sparse type, a polynomial in named variables keyed by exponent tuples, with
+a product, substitution of one variable and printing; it has no addition,
+as nothing adds two of them yet.  ``BiPoly`` is ``SparsePoly`` over
+("x", "z") and holds the coefficients of P_n(x, z) for comparison,
+evaluation and printing.  Coefficients are exact, ``int`` or
+``fractions.Fraction``, never ``float``: each keeps the type its arithmetic
+gave, so an integral family stays ``int`` and only a division makes a
+``Fraction``.  The two compare, hash and print alike.  Every operation is
+exact, a float is refused where a variable is given a value, and values are
+immutable after construction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
+from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -39,6 +44,13 @@ def _sum_str(terms: Iterable[tuple[Rational, str]]) -> str:
         sign = "-" if c < 0 else "+"
         parts.append(f"{sign} {term}" if parts else term if sign == "+" else f"-{term}")
     return " ".join(parts) or "0"
+
+
+def _refuse_float(var: str, value) -> None:
+    """A float given to a variable or rational parameter is refused: 0.1 is
+    its binary value 3602879701896397/2**55, not the 1/10 a caller means."""
+    if isinstance(value, float):
+        raise ValueError(f"{var} must be an int or Fraction, not the float {value!r}")
 
 
 class UniPoly:
@@ -148,20 +160,140 @@ class UniPoly:
         return f"UniPoly({list(self._coeffs)!r})"
 
 
-class BiPoly:
-    """Sparse bivariate polynomial: monomial (i, j) -> coefficient of x^i z^j.
+class SparsePoly:
+    """Sparse polynomial in named variables: exponent tuple -> coefficient.
 
-    Canonical form stores no zero coefficients.
+    A key holds one exponent per variable, in the order of ``variables``, so
+    (2, 0, 1) over ("a", "b", "c") is the monomial a^2 c.  Canonical form
+    stores no zero coefficients.  A product and a substitution return the
+    receiver's class over the same variables.
     """
 
-    __slots__ = ("_terms", "_integer_form")
+    __slots__ = ("_variables", "_terms", "_integer_forms")
+
+    def __init__(self, variables: Iterable[str], terms: Mapping[tuple[int, ...], Rational] | None = None):
+        variables = tuple(variables)
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"variable names must be distinct, not {variables}")
+        terms = terms or {}
+        if any(len(key) != len(variables) for key in terms):
+            raise ValueError(f"each monomial needs one exponent per variable of {variables}")
+        if min(itertools.chain.from_iterable(terms), default=0) < 0:
+            raise ValueError("monomial exponents must be nonnegative")
+        self._variables = variables
+        self._terms = {key: c for key, c in terms.items() if c}
+        self._integer_forms: dict = {}  # see _substituted
+
+    def _like(self, terms: Iterable[tuple[tuple[int, ...], Rational]]) -> "SparsePoly":
+        """A polynomial of this one's class and variables holding the (key,
+        coefficient) ``terms``, whose keys are already checked; zero
+        coefficients are dropped."""
+        p = object.__new__(type(self))
+        p._variables, p._terms, p._integer_forms = self._variables, {k: c for k, c in terms if c}, {}
+        return p
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return self._variables
+
+    def items(self) -> list[tuple[tuple[int, ...], Rational]]:
+        """Terms sorted lexicographically by exponent tuple."""
+        return sorted(self._terms.items())
+
+    def coefficient(self, *exponents: int) -> Rational:
+        return self._terms.get(exponents, 0)
+
+    def degree(self, var: str) -> int:
+        """The largest exponent of ``var``; -1 for the zero polynomial."""
+        v = self._variables.index(var)
+        return max((key[v] for key in self._terms), default=-1)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SparsePoly):
+            return NotImplemented
+        return self._variables == other._variables and self._terms == other._terms
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
+        if not isinstance(other, SparsePoly):
+            return NotImplemented
+        if self._variables != other._variables:
+            raise TypeError(f"cannot multiply polynomials in {self._variables} and {other._variables}")
+        d: dict[tuple[int, ...], Rational] = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                key = tuple(map(operator.add, k1, k2))
+                d[key] = d.get(key, 0) + c1 * c2
+        return self._like(d.items())
+
+    def substitute(self, var: str, value: Rational) -> "SparsePoly":
+        """Evaluate ``var`` at ``value``; the result keeps every variable,
+        with ``var``'s exponent 0 in each term."""
+        keys, values = self._substituted(var, value)
+        return self._like(zip(keys, values))
+
+    def _substituted(self, var: str, value: Rational) -> tuple[list, list]:
+        """The sums of c * value^e over each group of terms that differ only
+        in ``var``'s exponent e: the groups' keys with that exponent made 0,
+        sorted, and the sums, zeros kept.
+
+        With value = p/q, d = ``degree(var)`` and L the lcm of the
+        coefficients' denominators, each group sums in integers as
+        (L c) * p^e q^(d-e) over L q^d, and is made one ``Fraction``.  A sum
+        stays ``int`` when every term in it is an int coefficient times an
+        int power of value, as the term-by-term sum would give.  The integer
+        form (L, d, and each group's key, exponents and L c) is made on the
+        first call for ``var`` and kept, as the polynomial is immutable.
+        """
+        _refuse_float(var, value)
+        form = self._integer_forms.get(var)
+        if form is None:
+            v = self._variables.index(var)
+            others = [i for i in range(len(self._variables)) if i != v]
+            group_of = operator.itemgetter(*others) if others else lambda key: ()  # the other exponents
+            groups = defaultdict(list)
+            for key, c in self._terms.items():
+                groups[group_of(key)].append((key, c))
+            rows = [terms for _, terms in sorted(groups.items())]
+            den = math.lcm(*(c.denominator for c in self._terms.values()))
+            form = self._integer_forms[var] = den, max(self.degree(var), 0), [
+                tuple(0 if i == v else e for i, e in enumerate(terms[0][0])) for terms in rows
+            ], [(
+                tuple(key[v] for key, _ in terms),
+                tuple(c.numerator * (den // c.denominator) for _, c in terms),
+                all(isinstance(c, int) for _, c in terms),  # int coefficients only
+                not any(key[v] for key, _ in terms),  # value^0 only
+            ) for terms in rows]
+        den, d, keys, rows = form
+        p, q = value.numerator, value.denominator
+        pq = [p**e * q ** (d - e) for e in range(d + 1)]  # q^d value^e
+        value_int = isinstance(value, int)
+        scale = den * q**d
+        sums = []
+        for es, cs, int_coeffs, var_free in rows:
+            s = sum(map(operator.mul, cs, map(pq.__getitem__, es)))
+            sums.append(s // scale if int_coeffs and (value_int or var_free) else Fraction(s, scale))
+        return keys, sums
+
+    def __str__(self) -> str:
+        return _sum_str((c, "".join(map(_power, self._variables, key))) for key, c in self.items())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._variables!r}, {dict(self.items())!r})"
+
+
+class BiPoly(SparsePoly):
+    """``SparsePoly`` over ("x", "z"), the ring of P_n(x, z): the key (i, j)
+    is the monomial x^i z^j."""
+
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[tuple[int, int], Rational] | None = None):
-        terms = terms or {}
-        if any(i < 0 or j < 0 for i, j in terms):
-            raise ValueError("monomial exponents must be nonnegative")
-        self._terms = {key: c for key, c in terms.items() if c}
-        self._integer_form = None  # see substitute_z
+        super().__init__(("x", "z"), terms)
 
     @classmethod
     def x(cls) -> "BiPoly":
@@ -171,79 +303,26 @@ class BiPoly:
     def from_z_poly(cls, p: UniPoly) -> "BiPoly":
         return cls({(0, j): c for j, c in enumerate(p.coeffs)})
 
-    def items(self) -> list[tuple[tuple[int, int], Rational]]:
-        """Terms sorted lexicographically by (x power, z power)."""
-        return sorted(self._terms.items())
-
-    def coefficient(self, i: int, j: int) -> Rational:
-        return self._terms.get((i, j), 0)
-
     @property
     def degree_x(self) -> int:
-        return max((i for i, _ in self._terms), default=-1)
+        return self.degree("x")
 
     @property
     def degree_z(self) -> int:
-        return max((j for _, j in self._terms), default=-1)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __mul__(self, other: "BiPoly") -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        d: dict[tuple[int, int], Rational] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                key = (i1 + i2, j1 + j2)
-                d[key] = d.get(key, 0) + c1 * c2
-        return BiPoly(d)
+        return self.degree("z")
 
     def substitute_z(self, z0: Rational) -> UniPoly:
-        """Evaluate the z variable, leaving a univariate polynomial in x.
-
-        With z0 = p/q, d = degree_z and L the lcm of the coefficients'
-        denominators, each x power sums c * z0^j in integers as
-        (L c) * p^j q^(d-j) over L q^d, and is made one ``Fraction``.  A
-        power stays ``int`` when every term at it is an int coefficient
-        times an int power of z0, as the term-by-term sum would give.  The
-        integer form (L, d and each x power's z powers and L c) is made on
-        the first call and kept, as the polynomial is immutable.
-        """
-        if self._integer_form is None:
-            den = math.lcm(*(c.denominator for c in self._terms.values()))
-            by_x: list[list] = [[] for _ in range(self.degree_x + 1)]
-            for (i, j), c in self._terms.items():
-                by_x[i].append((j, c))
-            self._integer_form = den, max(self.degree_z, 0), [(
-                tuple(j for j, _ in terms),
-                tuple(c.numerator * (den // c.denominator) for _, c in terms),
-                all(isinstance(c, int) for _, c in terms),  # int coefficients only
-                not any(j for j, _ in terms),  # z^0 only
-            ) for terms in by_x]
-        den, d, rows = self._integer_form
-        p, q = z0.numerator, z0.denominator
-        zq = [p**j * q ** (d - j) for j in range(d + 1)]  # q^d z0^j
-        z_int = isinstance(z0, int)
-        scale = den * q**d
-        out = []
-        for js, cs, int_coeffs, z_free in rows:
-            v = sum(map(operator.mul, cs, map(zq.__getitem__, js)))
-            out.append(v // scale if int_coeffs and (z_int or z_free) else Fraction(v, scale))
+        """Evaluate the z variable, leaving a univariate polynomial in x.  An x
+        power with no term is the int 0; see ``_substituted`` for the rest."""
+        keys, sums = self._substituted("z", z0)
+        out = [0] * (keys[-1][0] + 1 if keys else 0)
+        for (i, _), s in zip(keys, sums):
+            out[i] = s
         return UniPoly(out)
 
     def __call__(self, x0: Rational, z0: Rational) -> Rational:
+        _refuse_float("x", x0)
         return self.substitute_z(z0)(x0)
-
-    def __str__(self) -> str:
-        return _sum_str((c, _power("x", i) + _power("z", j)) for (i, j), c in self.items())
 
     def __repr__(self) -> str:
         return f"BiPoly({dict(self.items())!r})"

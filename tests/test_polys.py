@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from stirbess.families import pn_recurrence
 from stirbess.identities import _PN_SLICES
-from stirbess.polys import BiPoly, UniPoly
+from stirbess.polys import BiPoly, SparsePoly, UniPoly
 
 coeffs = st.fractions(max_denominator=12, min_value=-9, max_value=9)
 unipolys = st.lists(coeffs, max_size=6).map(UniPoly)
@@ -30,6 +30,26 @@ def substitute_term_by_term(p: BiPoly, z0) -> UniPoly:
     for (i, j), c in p.items():
         out[i] += c * z0**j if j else c
     return UniPoly(out)
+
+
+ABC = ("a", "b", "c")
+
+
+@st.composite
+def abc_polys(draw, coefficients=coeffs):
+    return SparsePoly(ABC, draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), coefficients, max_size=6)))
+
+
+def substitute_each_term(p: SparsePoly, var: str, value) -> SparsePoly:
+    """sum c value^e over the terms that differ only in var's exponent e, one
+    term at a time; value^0 is the exact 1, so an int coefficient there
+    stays int."""
+    v = p.variables.index(var)
+    out: dict = {}
+    for key, c in p.items():
+        rest = key[:v] + (0,) + key[v + 1:]
+        out[rest] = out.get(rest, 0) + (c * value ** key[v] if key[v] else c)
+    return SparsePoly(p.variables, out)
 
 
 class TestUniPoly:
@@ -153,3 +173,71 @@ class TestBiPoly:
     def test_items_sorted_lexicographically(self):
         p = BiPoly({(2, 1): 1, (0, 3): 2, (2, 0): 3})
         assert [k for k, _ in p.items()] == [(0, 3), (2, 0), (2, 1)]
+
+
+class TestSparsePoly:
+    def test_frozen(self):
+        p = SparsePoly(ABC, {(2, 0, 1): Fraction(-3, 4), (0, 0, 0): 1, (0, 1, 0): -1, (1, 1, 3): 2, (1, 0, 0): 0})
+        assert p.variables == ABC
+        assert p.items() == [((0, 0, 0), 1), ((0, 1, 0), -1), ((1, 1, 3), 2), ((2, 0, 1), Fraction(-3, 4))]
+        assert p.coefficient(1, 1, 3) == 2 and p.coefficient(1, 0, 0) == 0
+        assert [p.degree(v) for v in ABC] == [2, 1, 3]
+        assert SparsePoly(ABC).degree("b") == -1
+
+    def test_str(self):
+        p = SparsePoly(ABC, {(2, 0, 1): Fraction(-3, 4), (0, 0, 0): 1, (0, 1, 0): -1, (1, 1, 3): 2})
+        assert str(p) == "1 - b + 2abc^3 - (3/4)a^2c"
+        assert repr(p) == "SparsePoly(('a', 'b', 'c'), {(0, 0, 0): 1, (0, 1, 0): -1, (1, 1, 3): 2, (2, 0, 1): Fraction(-3, 4)})"
+
+    def test_wrong_number_of_exponents_rejected(self):
+        with pytest.raises(ValueError, match="one exponent per variable"):
+            SparsePoly(ABC, {(1, 0): 1})
+        with pytest.raises(ValueError, match="one exponent per variable"):
+            BiPoly({(1, 0, 0): 1})
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SparsePoly(ABC, {(0, -1, 2): 1})
+
+    def test_product_over_different_variables_refused(self):
+        with pytest.raises(TypeError):
+            SparsePoly(("a", "b"), {(1, 0): 1}) * SparsePoly(("b", "a"), {(1, 0): 1})
+        with pytest.raises(TypeError):
+            BiPoly.x() * SparsePoly(("a", "b"), {(1, 0): 1})
+
+    @given(abc_polys(st.one_of(st.integers(-9, 9), coeffs)), st.sampled_from(ABC), int_or_fraction_points,
+           int_or_fraction_points)
+    def test_substitute_matches_term_by_term_sum(self, p, var, v0, v1):
+        # by repr, so each coefficient's type (int or Fraction) must match too;
+        # each value twice, as the polynomial keeps its integer form between calls
+        for value in (v0, v1, v0, v1):
+            assert repr(p.substitute(var, value)) == repr(substitute_each_term(p, var, value))
+
+    @given(abc_polys(), abc_polys(), st.sampled_from(ABC), points)
+    def test_substitution_is_a_homomorphism(self, p, q, var, value):
+        assert (p * q).substitute(var, value) == p.substitute(var, value) * q.substitute(var, value)
+
+    def test_substitute_keeps_the_class_and_matches_substitute_z(self):
+        p = pn_recurrence(6)
+        for z in (Fraction(-1, 2), -2, 0):
+            q = p.substitute("z", z)
+            assert type(q) is BiPoly
+            assert q == BiPoly({(i, 0): c for i, c in enumerate(p.substitute_z(z).coeffs)})
+
+
+class TestFloatRefused:
+    def test_substitute_z(self):
+        with pytest.raises(ValueError, match="^z must be an int or Fraction, not the float 0.5$"):
+            pn_recurrence(3).substitute_z(0.5)
+
+    def test_call_at_float_z(self):
+        with pytest.raises(ValueError, match="^z must be an int or Fraction"):
+            pn_recurrence(3)(Fraction(1, 2), 0.5)
+
+    def test_call_at_float_x(self):
+        with pytest.raises(ValueError, match="^x must be an int or Fraction"):
+            pn_recurrence(3)(0.5, Fraction(1, 2))
+
+    def test_substitute(self):
+        with pytest.raises(ValueError, match="^b must be an int or Fraction"):
+            SparsePoly(ABC, {(0, 1, 0): 1}).substitute("b", 0.25)
