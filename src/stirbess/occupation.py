@@ -33,9 +33,18 @@ walk of N steps takes about sqrt(N) rounds.  Only uniforms are drawn
 enters the output; the draw order is round-major, not step-major.
 
 One walk serves every time horizon: the walk runs to the latest horizon,
-and the count at an earlier horizon h is read from the same excursions, each
-cut at h.  So A_t and A_1 of ``simulate --t`` come from the same paths, and
+and the count at an earlier horizon h is read from the same excursions.  It
+is written once per path, in the round whose excursion crosses h: the count
+so far at the latest horizon, plus the crossing excursion's part below h if
+positive.  So A_t and A_1 of ``simulate --t`` come from the same paths, and
 the count at the latest horizon does not depend on which others are asked.
+
+Memory: besides its counts, one row per horizon, a block's walk holds five
+arrays of one entry per unfinished path: the path indices, the intervals
+each has left to walk, the sign flags and two float scratch arrays.  The
+uniforms, the excursion lengths and the gains all live in the scratch pair,
+and the only temporaries of 8 bytes a path that a round makes are those of
+moving the survivors to the front.
 
 Determinism: paths are partitioned into fixed blocks of ``BATCH_PATHS``;
 block b draws from a counter-based Philox stream keyed by (seed, b).  Each
@@ -61,16 +70,18 @@ from .polys import Rational
 
 BATCH_PATHS = 32768
 
-# Kernel cost model, measured on 2 cores with Python 3.11.7: a walk of N steps
-# takes about sqrt(N) rounds, and a round costs about 27 ns per path plus
-# about 27 us of fixed numpy work, the cost of ROUND_OVERHEAD_PATHS paths.
-# MAX_PATH_ROUNDS of isqrt(steps) * (paths + ROUND_OVERHEAD_PATHS) is about a
-# minute of one core.  The moment estimates hold one block's counts at a time;
-# only path_occupation_counts still holds every count, about 24 bytes per path
-# with the concatenation, so MAX_PATHS keeps it near 800 MB however short the
-# walk.
+# Kernel cost model, measured on a shared 2-core host with Python 3.11.7 and
+# numpy 2.4.6: a path of N steps walks about 0.8 sqrt(N) excursions, one a
+# round, and a round costs about 43 ns per unfinished path plus 20-30 us of
+# fixed numpy work, the cost of about 500 paths.  The guard counts
+# isqrt(steps) * (paths + ROUND_OVERHEAD_PATHS): at 10**8 steps one block of
+# 32768 paths took 11-13 s of CPU, 33-40 ns per unit, and 300 to 3000 paths
+# 48-54 ns per unit, so MAX_PATH_ROUNDS units are 50-80 s, about a minute of
+# one core.  The moment estimates hold one block's counts at a time; only
+# path_occupation_counts still holds every count, about 24 bytes per path with
+# the concatenation, so MAX_PATHS keeps it near 800 MB however short the walk.
 ROUND_OVERHEAD_PATHS = 1000
-MAX_PATH_ROUNDS = 2 * 10**9
+MAX_PATH_ROUNDS = 15 * 10**8
 MAX_PATHS = 2**25
 # The exact references P_n(alpha, -1/2) at the float alpha and the power sums
 # up to order 2n grow in digits with n, and building all n of them costs about
@@ -137,37 +148,47 @@ def _walk_counts(alpha: float, horizons: tuple[int, ...], size: int, rng: np.ran
     horizon: row i counts the nonnegative intervals among the first
     ``horizons[i]``.  One walk serves every horizon.
 
-    ``horizons`` is sorted.  The walk runs to the last (largest) horizon, one
-    excursion per unfinished path per round; an excursion that starts at
-    position pos and spans ``span`` intervals adds clip(h - pos, 0, span) to
-    the row of each smaller horizon h, and all of ``span`` to the last row.
+    ``horizons`` is sorted.  The walk runs to the last (largest) horizon N, one
+    excursion per unfinished path per round.  An excursion that starts at
+    position pos = N - left and spans ``span`` intervals adds all of ``span``
+    to the last row if positive.  It crosses a smaller horizon h when
+    pos < h <= pos + span, that is left > N - h >= left - span; the row of h
+    is written then, once per path, as the last row's count so far plus
+    (h - pos) * positive.  Excursions before the crossing lie wholly below h
+    and those after it wholly above, so this is the count at h.  No
+    excursion crosses h = 0, whose row stays 0.
 
     Each round draws three uniforms per unfinished path (round-major, then
     uniform kind, then path): u gives W = sin^2(pi u / 2) ~ Beta(1/2, 1/2),
     v the geometric half-length T = ceil(log(1 - v) / log(1 - W)) >= 1,
-    and the sign draw is positive iff it is below alpha.
+    and the sign draw is positive iff it is below alpha.  The three are drawn
+    by three ``rng.random`` calls of m values each, and a Generator hands out
+    one stream in order, so they are the three rows that ``rng.random((3, m))``
+    would fill.
 
-    The m unfinished paths of a round occupy the first m entries of arrays
-    sized once for the block: every step writes into them with ``out=``, in
-    the order of the expression in the comment above it, so each float is the
-    one that expression gives, and the survivors move to the front.
+    A block holds five arrays besides its counts: the unfinished paths'
+    indices ``idx`` and intervals still to walk ``left``, the ``positive``
+    flags, and two float scratch arrays a and b.  The m unfinished paths of a
+    round occupy the first m entries of each, and every step writes with
+    ``out=``, in the order of the expression in the comment above it, so each
+    float is the one that expression gives; the survivors move to the front.
     """
     *inner, intervals = horizons
     occ = np.zeros((len(horizons), size), dtype=np.int64)
-    *inner_rows, last = occ  # 1-D row views: occ[-1, idx] += ... costs about 10 % more
+    *inner_rows, last = occ  # 1-D row views
+    inner_rows = [(row, float(intervals - h)) for row, h in zip(inner_rows, inner)]  # N - h
     idx_buf = np.arange(size)
     left_buf = np.full(size, float(intervals))
-    draws = np.empty(3 * size)
-    span_buf = np.empty(size)
-    gain_buf = np.empty(size, dtype=np.int64)
     positive_buf = np.empty(size, dtype=bool)
+    a_buf = np.empty(size)
+    b_buf = np.empty(size)
     m = size
     while m:
-        idx, left, span, gain, positive = idx_buf[:m], left_buf[:m], span_buf[:m], gain_buf[:m], positive_buf[:m]
-        # a C-contiguous (3, m) view draws the stream of rng.random((3, m))
-        u, v, sign = rng.random(out=draws[: 3 * m].reshape(3, m))
+        idx, left, positive, a, b = idx_buf[:m], left_buf[:m], positive_buf[:m], a_buf[:m], b_buf[:m]
+        u = rng.random(out=a)
+        v = rng.random(out=b)
         with np.errstate(divide="ignore", invalid="ignore"):  # W = 1 is log 0; u = v = 0 is 0/0
-            # half = log1p(-v) / log1p(-sin(0.5 * pi * u) ** 2), written to v
+            # half = log1p(-v) / log1p(-sin(0.5 * pi * u) ** 2), written to b
             np.multiply(0.5 * np.pi, u, out=u)
             np.sin(u, out=u)
             np.square(u, out=u)
@@ -176,29 +197,30 @@ def _walk_counts(alpha: float, horizons: tuple[int, ...], size: int, rng: np.ran
             np.negative(v, out=v)
             np.log1p(v, out=v)
             half = np.divide(v, u, out=v)
+        sign = rng.random(out=a)  # u is spent
+        np.less(sign, alpha, out=positive)
         # Sibuya(1/2) has infinite mean, so clip while still a float; fmin
         # also sends the NaN of u = v = 0 (W = 0, so T is infinite) to the clip
-        # span = minimum(2 * maximum(ceil(fmin(half, left)), 1), left)
-        np.fmin(half, left, out=span)
+        # span = minimum(2 * maximum(ceil(fmin(half, left)), 1), left), written to a
+        span = np.fmin(half, left, out=a)
         np.ceil(span, out=span)
         np.maximum(span, 1.0, out=span)
         np.multiply(2.0, span, out=span)
         np.minimum(span, left, out=span)
-        np.less(sign, alpha, out=positive)
-        part = u  # u is spent: it holds each gain while still a float
-        for row, h in zip(inner_rows, inner):
-            # row[idx] += int(clip(h - (intervals - left), 0, span) * positive)
-            np.subtract(intervals, left, out=part)
-            np.subtract(h, part, out=part)
-            np.clip(part, 0.0, span, out=part)
-            np.multiply(part, positive, out=part)
-            np.copyto(gain, part, casting="unsafe")
-            row[idx] += gain
-        # last[idx] += int(span * positive)
-        np.multiply(span, positive, out=part)
-        np.copyto(gain, part, casting="unsafe")
-        last[idx] += gain
+        for row, past_h in inner_rows:
+            # the paths with 0 < h - pos <= span: row = last + int((h - pos) * positive)
+            to_h = np.subtract(left, past_h, out=b)  # h - pos, in b as half is spent
+            crossing = np.flatnonzero((to_h > 0.0) & (to_h <= span))
+            at = idx[crossing]
+            row[at] = last[at] + (to_h[crossing] * positive[crossing]).astype(np.int64)
+        # last[idx] += int(span * positive): the gain in b, then the counts so
+        # far gathered into a once span is spent ("clip" takes straight into
+        # out, where the default mode buffers it; every index is in range)
+        gain = np.multiply(span, positive, out=b.view(np.int64), casting="unsafe")
         left -= span
+        so_far = np.take(last, idx, out=a.view(np.int64), mode="clip")
+        so_far += gain
+        last[idx] = so_far
         keep = np.greater(left, 0.0, out=positive)
         m = np.count_nonzero(keep)
         idx_buf[:m] = idx[keep]
@@ -211,12 +233,15 @@ def _block_counts(alpha: float, horizons: tuple[int, ...], size: int, seed: int,
 
 
 def _power_sums(counts: np.ndarray, top: int) -> list[int]:
-    """[len(counts), sum(c), sum(c^2), ..., sum(c^top)] as exact integers."""
+    """[len(counts), sum(c), sum(c^2), ..., sum(c^top)] as exact integers.
+
+    Read run by run: a run of k equal counts c adds k * c^n to sum(c^n), so
+    any order gives the same sums, and sorted counts make the runs as few as
+    the distinct values.  Nothing is allocated per value, however large."""
     sums = [int(counts.size)] + [0] * top
-    values, multiplicities = np.unique(counts, return_counts=True)
-    for c, m in zip(values.tolist(), multiplicities.tolist()):  # exact integers, one power at a time
-        p = m
-        for n in range(1, top + 1):
+    ends = np.append(np.flatnonzero(counts[1:] != counts[:-1]), counts.size - 1)  # each run's last index
+    for c, p in zip(counts[ends].tolist(), np.diff(ends, prepend=-1).tolist()):  # a run of p counts c
+        for n in range(1, top + 1):  # exact integers, one power at a time
             p *= c
             sums[n] += p
     return sums
@@ -226,8 +251,11 @@ def _block_sums(
     alpha: float, horizons: tuple[int, ...], size: int, seed: int, block: int, top: int
 ) -> list[list[int]]:
     """One block's ``_power_sums`` up to order ``top`` at each horizon: all a
-    worker sends back, however many paths the block holds."""
-    return [_power_sums(row, top) for row in _block_counts(alpha, horizons, size, seed, block)]
+    worker sends back, however many paths the block holds.  The rows are the
+    block's own, so they are sorted in place."""
+    occ = _block_counts(alpha, horizons, size, seed, block)
+    occ.sort(axis=1)
+    return [_power_sums(row, top) for row in occ]
 
 
 def _intervals(config: SimConfig, time_fraction: Rational) -> int:
@@ -275,7 +303,7 @@ def path_occupation_counts(
 
 
 def _summarize(counts: np.ndarray, config: SimConfig, t: Fraction) -> SimResult:
-    return _summary(_power_sums(counts, 2 * config.max_moment), config, t)
+    return _summary(_power_sums(np.sort(counts), 2 * config.max_moment), config, t)  # the caller keeps counts
 
 
 def _summary(power_sums: Sequence[int], config: SimConfig, t: Fraction) -> SimResult:

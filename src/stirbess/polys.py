@@ -148,6 +148,7 @@ class UniPoly:
         return UniPoly((0,) * k + self._coeffs)
 
     def __call__(self, value: Rational) -> Rational:
+        _refuse_float("x", value)
         acc = 0
         for c in reversed(self._coeffs):
             acc = acc * value + c
@@ -321,8 +322,7 @@ class BiPoly(SparsePoly):
         return UniPoly(out)
 
     def __call__(self, x0: Rational, z0: Rational) -> Rational:
-        _refuse_float("x", x0)
-        return self.substitute_z(z0)(x0)
+        return self.substitute_z(z0)(x0)  # both refuse a float
 
     def __repr__(self) -> str:
         return f"BiPoly({dict(self.items())!r})"

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import os
 import sys
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +17,7 @@ from stirbess.occupation import (
     SimConfig,
     _horizon_counts,
     _intervals,
+    _power_sums,
     _summarize,
     _walk_counts,
     estimate_moments,
@@ -49,10 +52,10 @@ class TestSimConfig:
             SimConfig(**base)
 
     def test_kernel_cost_limit_is_inclusive(self):
-        # isqrt(10**8) * (199_000 + 1000) is exactly the limit of 2 * 10**9 path-rounds
-        SimConfig(alpha=0.5, steps=10**8, paths=199_000, max_moment=1, seed=1)
+        # isqrt(10**8) * (149_000 + 1000) is exactly the limit of 1.5 * 10**9 path-rounds
+        SimConfig(alpha=0.5, steps=10**8, paths=149_000, max_moment=1, seed=1)
         with pytest.raises(ValueError, match="about a minute"):
-            SimConfig(alpha=0.5, steps=10**8, paths=199_001, max_moment=1, seed=1)
+            SimConfig(alpha=0.5, steps=10**8, paths=149_001, max_moment=1, seed=1)
         SimConfig(alpha=0.5, steps=1, paths=2**25, max_moment=1, seed=1)
 
     def test_moment_limit_is_inclusive(self):
@@ -245,6 +248,74 @@ class TestExtremeUniforms:
                 assert all(0 <= c <= h for c in row)
                 # the smallest uniforms send every path up, the largest down
                 assert row == [h if value == 0.0 else 0] * 5
+
+
+class TestKernelPinned:
+    """The walk kernel's counts, byte for byte: a rewrite of ``_walk_counts``
+    must draw the same stream and give the same counts at every horizon,
+    inner horizons 0 and 1 and a last block of 5 paths included."""
+
+    DIGESTS = [
+        (0.3, (301,), 5, 11, "3e20e287e726b77df31b5b86d7eef71312d35c376c8d4d02ef292a14d6eea72f"),
+        (0.3, (301,), 5, 29, "0d483b166a116fa7a6ba42728ceac2e196fb2883d18d9f0c3694421fc850562d"),
+        (0.3, (301,), 4096, 11, "504c836c06fd75662dbc8993eb42c232329076919b32cf6be86f9a3ecf0ece3f"),
+        (0.3, (301,), 4096, 29, "cd0af2536d820dc4d241c24a0a851b651eb7802ce64eb3654b818664fdb5a150"),
+        (0.3, (0, 1, 7, 150, 300, 301), 5, 11, "a41b5d312b37bf3d6a46e774bac1fc263fa5a2cd1662943f1e0387954c1be254"),
+        (0.3, (0, 1, 7, 150, 300, 301), 5, 29, "11e1c76034a2e8476320340d9c568fed823ce63697207e42d301226e6e7cb5e9"),
+        (0.3, (0, 1, 7, 150, 300, 301), 4096, 11, "6723f254039ca193435aa67b77cd48a668750026a9296d72e2d9b285d54ea1f3"),
+        (0.3, (0, 1, 7, 150, 300, 301), 4096, 29, "e00b357c2577e1230b896fbc9981b89257ad25cb68ba7bae81add27d9c57f60e"),
+        (0.3, (2, 3), 5, 11, "94eeac7aa5d00285129efec29d4629393439291bd8e573cd311265b75b3f418c"),
+        (0.3, (2, 3), 5, 29, "665f4687c5f895807bd3e43ff226f2493c51358dace62af74a23c371c5e9f123"),
+        (0.3, (2, 3), 4096, 11, "8f2165e972764e2b9fa5fdfc1f3cb0383651cdfa7b227140ad476a8909321cdc"),
+        (0.3, (2, 3), 4096, 29, "4cbfe33047a3a5cde39dc688b3da08c7406d73f27ee0a728c0fde128e8365d80"),
+        (0.7, (301,), 5, 11, "353790c43dbef3a0965fd44b77fd8c719b100215a83cd4c6c0161c5070d33e02"),
+        (0.7, (301,), 5, 29, "b002521cded169dfb326a6f109f7146101bc7d1e340ae548dff92f8552a3e444"),
+        (0.7, (301,), 4096, 11, "18000701a56e99af9957f6239a1a320238a0a8df7b6b172c8e87a55ca03e7c30"),
+        (0.7, (301,), 4096, 29, "f5ee1f74de477e8afea7b2c9153f0a088068135a98e97eb070d7e22571abee09"),
+        (0.7, (0, 1, 7, 150, 300, 301), 5, 11, "0a7a178d7445f0d00d24c1661de9475d7011cfc75686470c2a16e22a65ca0c07"),
+        (0.7, (0, 1, 7, 150, 300, 301), 5, 29, "775793bbc32d8b13a6f5e9ab4ea6bcb18cd1176d2e97d2b879022fc7b9b7b6b8"),
+        (0.7, (0, 1, 7, 150, 300, 301), 4096, 11, "a4f82a333ab9356d5b573a12dc69b888043de1697046eb99b8c04946e2debd25"),
+        (0.7, (0, 1, 7, 150, 300, 301), 4096, 29, "c71982155be7d681417859867c1acac301028649e61d0e9b9927a1eca68dae15"),
+        (0.7, (2, 3), 5, 11, "41674e6b19a31d350cdea18b99b9a66b1f19c850ddfd6bbe3ff92916d90706ed"),
+        (0.7, (2, 3), 5, 29, "cf80d318b18362612819ec35410bfa7d76bd24e9712a81c56ee7d59fb6d6258b"),
+        (0.7, (2, 3), 4096, 11, "3de56d1ed8d8a27c439105f25722bf85d785f35e1f92d676846322acedc7ab6b"),
+        (0.7, (2, 3), 4096, 29, "6507f4a03057c8d0a329a4a9267c99eeccc3b8a35b239b9ba8eea1f530561fcf"),
+    ]
+
+    @pytest.mark.parametrize("alpha, horizons, size, seed, digest", DIGESTS)
+    def test_counts_digest(self, alpha, horizons, size, seed, digest):
+        counts = _walk_counts(alpha, horizons, size, np.random.Generator(np.random.Philox(key=[seed, 0])))
+        assert counts.dtype == np.int64 and counts.shape == (len(horizons), size)
+        assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
+
+
+class TestPowerSums:
+    def test_exact_near_two_to_the_53(self):
+        counts = np.array([2**53, 0, 5, 5], dtype=np.int64)
+        assert _power_sums(counts, 3) == [4, 2**53 + 10, 2**106 + 50, 2**159 + 250]
+
+    def test_allocates_nothing_by_value(self):
+        # a bin per value, as np.bincount makes, would be 2**53 bins here
+        counts = np.array([2**53, 0, 5, 5], dtype=np.int64)
+        tracemalloc.start()
+        try:
+            _power_sums(counts, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_any_order_gives_the_same_sums(self):
+        counts = np.random.default_rng(5).integers(0, 40, size=3000)
+        expected = [counts.size] + [sum(int(c) ** n for c in counts) for n in range(1, 7)]
+        assert _power_sums(counts, 6) == _power_sums(np.sort(counts), 6) == expected
+
+    def test_summarize_leaves_counts_unchanged(self):
+        counts = np.array([7, 1, 4, 1, 0, 7], dtype=np.int64)
+        config = SimConfig(alpha=0.5, steps=10, paths=6, max_moment=2, seed=1)
+        result = _summarize(counts, config, Fraction(1))
+        assert counts.tolist() == [7, 1, 4, 1, 0, 7]
+        assert result.moments[0].empirical_mean == 20 / 60
 
 
 class TestEstimateMoments:

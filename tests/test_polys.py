@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from stirbess.families import pn_recurrence
+from stirbess.families import pn_recurrence, pn_skew_bm
 from stirbess.identities import _PN_SLICES
 from stirbess.polys import BiPoly, SparsePoly, UniPoly
 
@@ -237,6 +237,11 @@ class TestFloatRefused:
     def test_call_at_float_x(self):
         with pytest.raises(ValueError, match="^x must be an int or Fraction"):
             pn_recurrence(3)(0.5, Fraction(1, 2))
+
+    def test_unipoly_call_at_float(self):
+        with pytest.raises(ValueError, match="^x must be an int or Fraction, not the float 0.5$"):
+            pn_skew_bm(3)(0.5)
+        assert pn_skew_bm(3)(Fraction(1, 2)) == Fraction(5, 16)
 
     def test_substitute(self):
         with pytest.raises(ValueError, match="^b must be an int or Fraction"):
