@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import families, triangles
-from .exactnum import binomial_rat, factorial, rising_factorial_poly, times_linear
-from .polys import UniPoly, _refuse_float
+from .exactnum import binomial_rat, factorial, falling_factorial_poly, rising_factorial_poly
+from .polys import UniPoly, _rational_param
 from .triangles import Triangles, bessel_B, bessel_b, lah
 
 
@@ -101,13 +101,6 @@ def _binomial_row(n: int) -> tuple[int, ...]:
     return tuple(math.comb(n, k) for k in range(n + 1))
 
 
-def _rational_param(name: str, value) -> Fraction:
-    """``value`` as a Fraction; a float is refused, as for a polynomial
-    variable."""
-    _refuse_float(name, value)
-    return Fraction(value)
-
-
 # ---------------------------------------------------------------------------
 # the two Stirling-to-Bessel summations
 
@@ -171,17 +164,6 @@ GS_COMPOSITION_TRIPLES: tuple[tuple[Fraction, Fraction, Fraction], ...] = (
 SSS2_Z_VALUES = (Fraction(1), Fraction(-2), Fraction(-1, 2), Fraction(3), Fraction(2, 3))
 
 
-_s1_rows: list[tuple[int, ...]] = [(1,)]  # index n -> s1(n, 0..n); see _stirling1_row
-
-
-def _stirling1_row(n: int) -> tuple[int, ...]:
-    """s1(n, 0..n), the coefficients of x(x+1)...(x+n-1); prefix-cached, as
-    row m+1 is (x+m) times row m."""
-    while len(_s1_rows) <= n:
-        _s1_rows.append(tuple(times_linear(len(_s1_rows) - 1, _s1_rows[-1])))
-    return _s1_rows[n]
-
-
 @functools.cache
 def _stirling2_row(n: int) -> tuple[int, ...]:
     """S(n, 0..n) by inclusion-exclusion: k! S(n, k) = sum_j (-1)^(k-j) C(k, j) j^n,
@@ -197,7 +179,7 @@ def _stirling2_row(n: int) -> tuple[int, ...]:
 _GS_SPECIAL = {
     "bessel-B": ((Fraction(-1), Fraction(1)), bessel_B),
     "bessel-b": ((Fraction(2), Fraction(-1)), bessel_b),
-    "stirling1": ((Fraction(1), Fraction(1)), lambda n, k: _stirling1_row(n)[k]),
+    "stirling1": ((Fraction(1), Fraction(1)), lambda n, k: rising_factorial_poly(n).coefficient(k)),
     "stirling2": ((Fraction(0), Fraction(1)), lambda n, k: _stirling2_row(n)[k]),
 }
 
@@ -409,10 +391,8 @@ def _rising_eval(params, t):
 def _falling_eval(params, t):
     (n,) = params
     acc = [0] * (n + 1)
-    falling = [1]  # x(x-1)...(x-k+1)
-    for k, s2 in enumerate(t.rows("stirling2", n)[n]):
-        acc[: k + 1] = [a + s2 * f for a, f in zip(acc, falling)]
-        falling = times_linear(-k, falling)
+    for k, s2 in enumerate(t.rows("stirling2", n)[n]):  # s2 times x(x-1)...(x-k+1)
+        acc[: k + 1] = [a + s2 * f for a, f in zip(acc, falling_factorial_poly(k).coeffs)]
     return UniPoly(acc), UniPoly.monomial(n)
 
 

@@ -66,7 +66,7 @@ from typing import Sequence
 import numpy as np
 
 from .families import pn_skew_bm
-from .polys import Rational
+from .polys import Rational, _rational_param
 
 BATCH_PATHS = 32768
 
@@ -229,7 +229,8 @@ def _walk_counts(alpha: float, horizons: tuple[int, ...], size: int, rng: np.ran
 
 
 def _block_counts(alpha: float, horizons: tuple[int, ...], size: int, seed: int, block: int) -> np.ndarray:
-    return _walk_counts(alpha, horizons, size, np.random.Generator(np.random.Philox(key=[seed, block])))
+    key = np.array([seed, block], dtype=np.uint64)  # a list would turn a seed >= 2**63 into a float
+    return _walk_counts(alpha, horizons, size, np.random.Generator(np.random.Philox(key=key)))
 
 
 def _power_sums(counts: np.ndarray, top: int) -> list[int]:
@@ -259,7 +260,7 @@ def _block_sums(
 
 
 def _intervals(config: SimConfig, time_fraction: Rational) -> int:
-    t = Fraction(time_fraction)
+    t = _rational_param("t", time_fraction)
     if not 0 < t <= 1:
         raise ValueError("time fraction t must lie in (0, 1]")
     intervals = math.floor(t * config.steps)
@@ -346,7 +347,7 @@ def estimate_moments(config: SimConfig, t: Rational = 1, jobs: int = 1) -> SimRe
 def estimate_moments_at(config: SimConfig, times: Sequence[Rational], jobs: int = 1) -> tuple[SimResult, ...]:
     """``estimate_moments`` at each time fraction in ``times``, in that order,
     all read from one walk of the paths up to the latest of them."""
-    fractions = [Fraction(t) for t in times]
+    fractions = [_rational_param("t", t) for t in times]
     intervals = [_intervals(config, t) for t in fractions]
     horizons = tuple(sorted(set(intervals)))
     per_block = _map_blocks(_block_sums, config, horizons, jobs, 2 * config.max_moment)

@@ -9,8 +9,9 @@ evaluation and printing.  Coefficients are exact, ``int`` or
 ``fractions.Fraction``, never ``float``: each keeps the type its arithmetic
 gave, so an integral family stays ``int`` and only a division makes a
 ``Fraction``.  The two compare, hash and print alike.  Every operation is
-exact, a float is refused where a variable is given a value, and values are
-immutable after construction.
+exact, a float is refused where a variable is given a value, as the other
+modules refuse it for a rational parameter, and values are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ def _refuse_float(var: str, value) -> None:
     its binary value 3602879701896397/2**55, not the 1/10 a caller means."""
     if isinstance(value, float):
         raise ValueError(f"{var} must be an int or Fraction, not the float {value!r}")
+
+
+def _rational_param(name: str, value) -> Fraction:
+    """``value`` as a Fraction; a float is refused, as for a variable."""
+    _refuse_float(name, value)
+    return Fraction(value)
 
 
 class UniPoly:

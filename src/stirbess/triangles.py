@@ -23,11 +23,12 @@ families), row n holds D^(n-k) T(n, k), which satisfies
     D^(n+1-k) T(n+1, k) = D^(n-(k-1)) T(n, k-1) + (D*a*n + D*b*k) * D^(n-k) T(n, k),
 
 a recurrence with integer coefficients.  ``Triangles.table(a, b)`` owns one
-per exact (a, b); ``Triangles.rows`` looks up a family by name and
-``Triangles.gs_triangle`` a generalized-Stirling pair (s, h), so the two
-share a table wherever their (a, b) agree.  D and the integer rows serve
-exact sums over a common denominator; ``Triangles.gs_rows`` and
-``Triangles.gs`` give ``Fraction`` views, GS(n, k) = row n [k] / D^(n-k).
+per exact (a, b), the store's only index: ``Triangles.rows`` maps a family
+name and ``Triangles.gs_triangle`` a generalized-Stirling pair (s, h) to
+their (a, b), so the two share a table wherever their (a, b) agree.  A float
+parameter is refused.  D and the integer rows serve exact sums over a
+common denominator; ``Triangles.gs_rows`` and ``Triangles.gs`` give
+``Fraction`` views, GS(n, k) = row n [k] / D^(n-k).
 ``Triangles.memo`` keeps what a caller derives from the tables, found again
 without hashing a ``Fraction``.
 
@@ -50,7 +51,7 @@ from fractions import Fraction
 from typing import Callable, TypeVar
 
 from .exactnum import binomial_int, factorial
-from .polys import Rational
+from .polys import Rational, _rational_param, _refuse_float
 
 
 class RecurrenceTriangle:
@@ -59,7 +60,7 @@ class RecurrenceTriangle:
     denominators, row n holds D^(n-k) T(n, k)."""
 
     def __init__(self, a: Rational, b: Rational):
-        a, b = Fraction(a), Fraction(b)
+        a, b = _rational_param("a", a), _rational_param("b", b)
         self.scale = math.lcm(a.denominator, b.denominator)
         self._a, self._b = (a * self.scale).numerator, (b * self.scale).numerator
         self._rows: list[tuple[int, ...]] = [(1,)]
@@ -167,20 +168,20 @@ _T = TypeVar("_T")
 
 
 class Triangles:
-    """The memoized recurrence tables, one per exact (a, b), built only by
-    ``table``: the families of ``RECURRENCES`` and the generalized-Stirling
-    pairs are names for some of them.  (a, b) are keyed by value, so equal
-    ints and Fractions find the same table."""
+    """The memoized recurrence tables, one per exact (a, b), built and found
+    only by ``table``: the families of ``RECURRENCES`` and the
+    generalized-Stirling pairs are names for some of them.  (a, b) are keyed
+    by value, so equal ints and Fractions find the same table."""
 
     def __init__(self):
         self._tables: dict[tuple[Rational, Rational], RecurrenceTriangle] = {}
-        # (s, h) as passed, into _tables, so Triangles.gs skips gs_recurrence;
-        # equal ints, Fractions and floats hash alike, and the same objects skip __eq__
-        self._gs: dict[tuple[Rational, Rational], RecurrenceTriangle] = {}
         self._memo: dict[tuple[int, ...], tuple[tuple, object]] = {}
 
     def table(self, a: Rational, b: Rational) -> RecurrenceTriangle:
-        """The table of T(n+1, k) = T(n, k-1) + (a*n + b*k) * T(n, k)."""
+        """The table of T(n+1, k) = T(n, k-1) + (a*n + b*k) * T(n, k); a float
+        a or b is refused, even where an equal exact key has a table."""
+        _refuse_float("a", a)
+        _refuse_float("b", b)
         table = self._tables.get((a, b))
         if table is None:
             table = self._tables[a, b] = RecurrenceTriangle(a, b)
@@ -204,13 +205,13 @@ class Triangles:
 
     def gs_triangle(self, s: Rational, h: Rational) -> RecurrenceTriangle:
         """``table(*gs_recurrence(s, h))``, the generalized Stirling table with
-        parameters (s, h), h != 0: row m holds D^(m-k) GS(m, 0..m)."""
-        table = self._gs.get((s, h))
-        if table is None:
-            if h == 0:
-                raise ValueError("parameter h must be nonzero")
-            table = self._gs[s, h] = self.table(*gs_recurrence(Fraction(s), Fraction(h)))
-        return table
+        parameters (s, h), h != 0: row m holds D^(m-k) GS(m, 0..m).  It finds
+        the table by (a, b), so callers that read it often keep it, as the
+        evaluators do through ``memo``."""
+        s, h = _rational_param("s", s), _rational_param("h", h)
+        if h == 0:
+            raise ValueError("parameter h must be nonzero")
+        return self.table(*gs_recurrence(s, h))
 
     def memo(self, key: tuple, derive: Callable[[Triangles], _T]) -> _T:
         """``derive(self)``, kept on this table set under the ids of ``key``'s

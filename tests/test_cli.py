@@ -87,6 +87,18 @@ class TestTriangle:
         code, _, err = run_cli(capsys, "triangle", "gs", "--s", "1.5", "--h", "1", "--n", "3")
         assert code == 2 and "rational" in err
 
+    def test_negative_n_refused(self, capsys):
+        code, out, err = run_cli(capsys, "triangle", "stirling1", "--n", "-1")
+        assert code == 2 and out == "" and "--n must be nonnegative" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("poly", "pn", "--n", "3", "--z", "1/0"),
+        ("triangle", "gs", "--s", "1/0", "--h", "1"),
+    ])
+    def test_zero_denominator_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "rational with zero denominator" in err
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "triangle", "stirling1", "--n", "5", "--format", "json")
         assert code == 0

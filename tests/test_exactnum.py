@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import stirbess
 from stirbess.exactnum import (
     binomial_int,
     binomial_poly_upper,
@@ -87,6 +92,12 @@ def test_binomial_rat_negative_k_raises():
         binomial_rat(Fraction(1, 2), -1)
 
 
+def test_binomial_rat_refuses_a_float():
+    # 0.1 would be its binary value, a C(a, 2) over 2^111
+    with pytest.raises(ValueError, match="a must be an int or Fraction"):
+        binomial_rat(0.1, 2)
+
+
 @given(rationals, st.integers(min_value=1, max_value=8))
 def test_binomial_rat_pascal(a, k):
     assert binomial_rat(a, k) == binomial_rat(a - 1, k) + binomial_rat(a - 1, k - 1)
@@ -145,6 +156,24 @@ def test_rising_coefficients_are_first_kind_stirling():
         p = rising_factorial_poly(n)
         for k in range(0, n + 1):
             assert p.coefficient(k) == stirling1(n, k)
+
+
+def test_factorial_polys_cold_cache_filled_out_of_order():
+    # the tests above leave both prefix caches warm, so start from a fresh interpreter
+    code = (
+        "from stirbess.exactnum import falling_factorial_poly, rising_factorial_poly\n"
+        "from stirbess.polys import UniPoly\n"
+        "for n in (12, 5, 20, 0, 21):\n"
+        "    for poly, sign in ((rising_factorial_poly, 1), (falling_factorial_poly, -1)):\n"
+        "        product = UniPoly([1])\n"
+        "        for j in range(n):\n"
+        "            product = product * UniPoly([sign * j, 1])\n"
+        "        assert poly(n) == product, (poly.__name__, n)\n"
+    )
+    path = [str(Path(stirbess.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_powers_expand_in_falling_factorials():

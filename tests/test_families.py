@@ -84,6 +84,12 @@ class TestPnRecurrence:
         assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("family", [pn_skew_bm, pn_z_minus2, pn_z_one, pn_via_chebyshev])
+def test_slice_closed_forms_refuse_n_zero(family):
+    with pytest.raises(ValueError, match="n must be positive"):
+        family(0)
+
+
 class TestPnClosedForm:
     def test_base_case(self):
         assert pn_closed_form(1) == BiPoly.x()

@@ -16,12 +16,10 @@ from hypothesis import given, strategies as st
 import stirbess
 from stirbess import triangles
 from stirbess.cli import main
-from stirbess.exactnum import rising_factorial_poly
 from stirbess.identities import (
     REGISTRY,
     IDENTITY_IDS,
     _s1s2_sum,
-    _stirling1_row,
     default_hagen_rothe_cases,
     gs_composition_identity,
     hagen_rothe_identity,
@@ -178,6 +176,10 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             verify(hagen_rothe_identity([(Fraction(-2), 1, Fraction(3), 4)]), 1)  # a + b*2 = 0
 
+    def test_hagen_rothe_refuses_negative_n(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            hagen_rothe_identity([(1, 2, 4, -1)])
+
     def test_hagen_rothe_refuses_non_integral_b_and_n(self):
         # truncated, these would run as the cases (1, 0, 4, 2) and (1, 2, 4, 2)
         for case in [(1, Fraction(1, 2), 4, 2), (1, 2, 4, 2.7), (1, 2, 4, Fraction(5, 2))]:
@@ -333,10 +335,6 @@ class TestMutationSensitivity:
             "rising-factorial": "(1,)",
             "falling-factorial": "(1,)",
         }
-
-    def test_stirling1_reference_is_the_rising_factorial(self):
-        for n in range(61):
-            assert _stirling1_row(n) == rising_factorial_poly(n).coeffs, n
 
 
 GS_IDS = ("gs-scaling", "gs-special", "gs-composition", "sss2")

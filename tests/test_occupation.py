@@ -289,6 +289,17 @@ class TestKernelPinned:
         assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
 
 
+def test_seeds_from_two_to_the_63_keep_their_own_streams():
+    # a key list with a seed >= 2**63 becomes float64: 2**63 + 1 rounds to 2**63, and
+    # 2**64 - 1 overflows with a RuntimeWarning, which the suite turns into an error
+    counts = [
+        path_occupation_counts(SimConfig(alpha=0.3, steps=100, paths=1000, max_moment=1, seed=seed))
+        for seed in (2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1)
+    ]
+    assert not np.array_equal(counts[0], counts[1])
+    assert not np.array_equal(counts[2], counts[3])
+
+
 class TestPowerSums:
     def test_exact_near_two_to_the_53(self):
         counts = np.array([2**53, 0, 5, 5], dtype=np.int64)
@@ -412,6 +423,14 @@ class TestSelfSimilarity:
             estimate_moments(config, t=0)
         with pytest.raises(ValueError):
             estimate_moments(config, t=Fraction(3, 2))
+
+    def test_float_time_fraction_refused(self):
+        # t = 0.1 would run at its binary value 3602879701896397/2**55
+        config = SimConfig(alpha=0.5, steps=10, paths=10, max_moment=1, seed=1)
+        for run in (lambda: estimate_moments(config, t=0.5), lambda: estimate_moments_at(config, [1, 0.5]),
+                    lambda: path_occupation_counts(config, 0.5)):
+            with pytest.raises(ValueError, match="^t must be an int or Fraction, not the float 0.5"):
+                run()
 
     def test_horizon_of_no_interval_refused(self):
         # floor(t * steps) = 0 leaves no interval to count

@@ -172,6 +172,10 @@ class TestLah:
         assert lah(4, 0) == 0
         assert lah(0, 0) == 1
 
+    def test_negative_raises(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            lah(-1, 0)
+
     def test_closed_form(self):
         for n in range(1, 16):
             for k in range(1, n + 1):
@@ -237,6 +241,28 @@ class TestTable:
         t.stirling1(3, 1), t.stirling2(3, 1), t.stirling1_signed(3, 1)
         t.gs(1, 1, 3, 1), t.gs(Fraction(1, 2), 2, 3, 1), t.gs_rows(0, 1, 3), t.gs(Fraction(1, 2), -3, 3, 1)
         assert built == [*RECURRENCES.values(), (Fraction(-3, 2), Fraction(-3, 2))]
+
+
+class TestFloatParameters:
+    """A float a, b, s or h is refused by name: 0.1 would be its binary value,
+    not 1/10."""
+
+    @pytest.mark.parametrize("a, b, name", [(0.5, 1, "a"), (Fraction(1, 2), 1.0, "b")])
+    def test_table_refuses_a_float_with_an_equal_key_cached(self, a, b, name):
+        t = Triangles()
+        t.table(Fraction(1, 2), 1)
+        with pytest.raises(ValueError, match=f"^{name} must be an int or Fraction, not the float"):
+            t.table(a, b)
+
+    @pytest.mark.parametrize("a, b, name", [(0.5, 1, "a"), (1, 0.0, "b")])
+    def test_recurrence_triangle_refuses_a_float(self, a, b, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an int or Fraction, not the float"):
+            RecurrenceTriangle(a, b)
+
+    @pytest.mark.parametrize("s, h, name", [(0.1, 1, "s"), (1, 0.5, "h")])
+    def test_gs_refuses_a_float(self, s, h, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an int or Fraction, not the float"):
+            gs(s, h, 3, 1)
 
 
 class TestMemo:
