@@ -77,9 +77,13 @@ BATCH_PATHS = 32768
 # isqrt(steps) * (paths + ROUND_OVERHEAD_PATHS): at 10**8 steps one block of
 # 32768 paths took 11-13 s of CPU, 33-40 ns per unit, and 300 to 3000 paths
 # 48-54 ns per unit, so MAX_PATH_ROUNDS units are 50-80 s, about a minute of
-# one core.  The moment estimates hold one block's counts at a time; only
-# path_occupation_counts still holds every count, about 24 bytes per path with
-# the concatenation, so MAX_PATHS keeps it near 800 MB however short the walk.
+# one core.  MAX_PATHS bounds two things however short the walk.  The moment
+# estimates hold one block's counts at a time, but path_occupation_counts
+# still holds every count, about 24 bytes per path with the concatenation, so
+# MAX_PATHS keeps it near 800 MB.  And it caps the blocks at 1024:
+# _map_blocks returns every block's result in one list, which
+# estimate_moments_at holds whole, 2 * max_moment + 1 exact power sums per
+# horizon per block.
 ROUND_OVERHEAD_PATHS = 1000
 MAX_PATH_ROUNDS = 15 * 10**8
 MAX_PATHS = 2**25

@@ -2,13 +2,13 @@
 
 ``UniPoly`` is a dense univariate polynomial.  ``SparsePoly`` is the one
 sparse type, a polynomial in named variables keyed by exponent tuples, with
-a product, substitution of one variable and printing; it has no addition,
-as nothing adds two of them yet.  ``BiPoly`` is ``SparsePoly`` over
-("x", "z") and holds the coefficients of P_n(x, z) for comparison,
-evaluation and printing.  Coefficients are exact, ``int`` or
-``fractions.Fraction``, never ``float``: each keeps the type its arithmetic
-gave, so an integral family stays ``int`` and only a division makes a
-``Fraction``.  The two compare, hash and print alike.  Every operation is
+a product and printing; it has no addition, as nothing adds two of them
+yet.  ``BiPoly`` is ``SparsePoly`` over ("x", "z") and holds the
+coefficients of P_n(x, z) for comparison, printing and evaluation; it
+substitutes a value for z, the one variable the program fixes.
+Coefficients are exact, ``int`` or ``fractions.Fraction``, never ``float``:
+each keeps the type its arithmetic gave, so an integral family stays
+``int`` and only a division makes a ``Fraction``.  The two compare, hash and print alike.  Every operation is
 exact, a float is refused where a variable is given a value, as the other
 modules refuse it for a rational parameter, and values are immutable after
 construction.
@@ -173,11 +173,11 @@ class SparsePoly:
 
     A key holds one exponent per variable, in the order of ``variables``, so
     (2, 0, 1) over ("a", "b", "c") is the monomial a^2 c.  Canonical form
-    stores no zero coefficients.  A product and a substitution return the
-    receiver's class over the same variables.
+    stores no zero coefficients.  A product returns the receiver's class
+    over the same variables.
     """
 
-    __slots__ = ("_variables", "_terms", "_integer_forms")
+    __slots__ = ("_variables", "_terms")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple[int, ...], Rational] | None = None):
         variables = tuple(variables)
@@ -190,15 +190,6 @@ class SparsePoly:
             raise ValueError("monomial exponents must be nonnegative")
         self._variables = variables
         self._terms = {key: c for key, c in terms.items() if c}
-        self._integer_forms: dict = {}  # see _substituted
-
-    def _like(self, terms: Iterable[tuple[tuple[int, ...], Rational]]) -> "SparsePoly":
-        """A polynomial of this one's class and variables holding the (key,
-        coefficient) ``terms``, whose keys are already checked; zero
-        coefficients are dropped."""
-        p = object.__new__(type(self))
-        p._variables, p._terms, p._integer_forms = self._variables, {k: c for k, c in terms if c}, {}
-        return p
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -236,56 +227,9 @@ class SparsePoly:
             for k2, c2 in other._terms.items():
                 key = tuple(map(operator.add, k1, k2))
                 d[key] = d.get(key, 0) + c1 * c2
-        return self._like(d.items())
-
-    def substitute(self, var: str, value: Rational) -> "SparsePoly":
-        """Evaluate ``var`` at ``value``; the result keeps every variable,
-        with ``var``'s exponent 0 in each term."""
-        keys, values = self._substituted(var, value)
-        return self._like(zip(keys, values))
-
-    def _substituted(self, var: str, value: Rational) -> tuple[list, list]:
-        """The sums of c * value^e over each group of terms that differ only
-        in ``var``'s exponent e: the groups' keys with that exponent made 0,
-        sorted, and the sums, zeros kept.
-
-        With value = p/q, d = ``degree(var)`` and L the lcm of the
-        coefficients' denominators, each group sums in integers as
-        (L c) * p^e q^(d-e) over L q^d, and is made one ``Fraction``.  A sum
-        stays ``int`` when every term in it is an int coefficient times an
-        int power of value, as the term-by-term sum would give.  The integer
-        form (L, d, and each group's key, exponents and L c) is made on the
-        first call for ``var`` and kept, as the polynomial is immutable.
-        """
-        _refuse_float(var, value)
-        form = self._integer_forms.get(var)
-        if form is None:
-            v = self._variables.index(var)
-            others = [i for i in range(len(self._variables)) if i != v]
-            group_of = operator.itemgetter(*others) if others else lambda key: ()  # the other exponents
-            groups = defaultdict(list)
-            for key, c in self._terms.items():
-                groups[group_of(key)].append((key, c))
-            rows = [terms for _, terms in sorted(groups.items())]
-            den = math.lcm(*(c.denominator for c in self._terms.values()))
-            form = self._integer_forms[var] = den, max(self.degree(var), 0), [
-                tuple(0 if i == v else e for i, e in enumerate(terms[0][0])) for terms in rows
-            ], [(
-                tuple(key[v] for key, _ in terms),
-                tuple(c.numerator * (den // c.denominator) for _, c in terms),
-                all(isinstance(c, int) for _, c in terms),  # int coefficients only
-                not any(key[v] for key, _ in terms),  # value^0 only
-            ) for terms in rows]
-        den, d, keys, rows = form
-        p, q = value.numerator, value.denominator
-        pq = [p**e * q ** (d - e) for e in range(d + 1)]  # q^d value^e
-        value_int = isinstance(value, int)
-        scale = den * q**d
-        sums = []
-        for es, cs, int_coeffs, var_free in rows:
-            s = sum(map(operator.mul, cs, map(pq.__getitem__, es)))
-            sums.append(s // scale if int_coeffs and (value_int or var_free) else Fraction(s, scale))
-        return keys, sums
+        p = object.__new__(type(self))  # the keys are checked already
+        p._variables, p._terms = self._variables, {key: c for key, c in d.items() if c}
+        return p
 
     def __str__(self) -> str:
         return _sum_str((c, "".join(map(_power, self._variables, key))) for key, c in self.items())
@@ -298,7 +242,7 @@ class BiPoly(SparsePoly):
     """``SparsePoly`` over ("x", "z"), the ring of P_n(x, z): the key (i, j)
     is the monomial x^i z^j."""
 
-    __slots__ = ()
+    __slots__ = ("_z_form",)  # unset until the first substitute_z
 
     def __init__(self, terms: Mapping[tuple[int, int], Rational] | None = None):
         super().__init__(("x", "z"), terms)
@@ -311,21 +255,43 @@ class BiPoly(SparsePoly):
     def from_z_poly(cls, p: UniPoly) -> "BiPoly":
         return cls({(0, j): c for j, c in enumerate(p.coeffs)})
 
-    @property
-    def degree_x(self) -> int:
-        return self.degree("x")
-
-    @property
-    def degree_z(self) -> int:
-        return self.degree("z")
-
     def substitute_z(self, z0: Rational) -> UniPoly:
-        """Evaluate the z variable, leaving a univariate polynomial in x.  An x
-        power with no term is the int 0; see ``_substituted`` for the rest."""
-        keys, sums = self._substituted("z", z0)
-        out = [0] * (keys[-1][0] + 1 if keys else 0)
-        for (i, _), s in zip(keys, sums):
-            out[i] = s
+        """Evaluate the z variable, leaving a univariate polynomial in x.
+
+        With z0 = p/q, d = ``degree("z")`` and L the lcm of the coefficients'
+        denominators, the terms at each power of x sum in integers as
+        (L c) * p^j q^(d-j) over L q^d, and are made one ``Fraction``.  A sum
+        stays ``int`` when every term in it is an int coefficient times an
+        int power of z0, as the term-by-term sum would give, and an x power
+        with no term is the int 0.  The integer form (L, d, and each x row's
+        power, z exponents and L c) is made on the first call and kept, as
+        the polynomial is immutable.
+        """
+        _refuse_float("z", z0)
+        try:
+            den, d, rows = self._z_form
+        except AttributeError:
+            by_x = defaultdict(list)
+            for (i, j), c in self._terms.items():
+                by_x[i].append((j, c))
+            den = math.lcm(*(c.denominator for c in self._terms.values()))
+            d = max(self.degree("z"), 0)
+            rows = [(
+                i,
+                tuple(j for j, _ in terms),
+                tuple(c.numerator * (den // c.denominator) for _, c in terms),
+                all(isinstance(c, int) for _, c in terms),  # int coefficients only
+                not any(j for j, _ in terms),  # z0^0 only
+            ) for i, terms in sorted(by_x.items())]
+            self._z_form = den, d, rows
+        p, q = z0.numerator, z0.denominator
+        pq = [p**j * q ** (d - j) for j in range(d + 1)]  # q^d z0^j
+        z_int = isinstance(z0, int)
+        scale = den * q**d
+        out = [0] * (rows[-1][0] + 1 if rows else 0)
+        for i, js, cs, int_coeffs, z_free in rows:
+            s = sum(map(operator.mul, cs, map(pq.__getitem__, js)))
+            out[i] = s // scale if int_coeffs and (z_int or z_free) else Fraction(s, scale)
         return UniPoly(out)
 
     def __call__(self, x0: Rational, z0: Rational) -> Rational:

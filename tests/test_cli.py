@@ -166,6 +166,10 @@ class TestPoly:
         code, _, _ = run_cli(capsys, "poly", "pn", "--n", "0")
         assert code == 2
 
+    def test_negative_n(self, capsys):
+        code, out, err = run_cli(capsys, "poly", "bessel-y", "--n", "-1")
+        assert code == 2 and out == "" and "--n must be nonnegative" in err
+
     def test_json_slice(self, capsys):
         code, out, _ = run_cli(capsys, "poly", "pn", "--n", "2", "--z", "-1/2", "--format", "json")
         assert code == 0

@@ -53,8 +53,8 @@ class TestPnRecurrence:
     def test_degrees(self):
         for n in range(1, 13):
             p = pn_recurrence(n)
-            assert p.degree_x == n
-            assert p.degree_z == n - 1
+            assert p.degree("x") == n
+            assert p.degree("z") == n - 1
 
     def test_nonpositive_index_raises(self):
         with pytest.raises(ValueError):
