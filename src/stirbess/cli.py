@@ -391,9 +391,9 @@ def _report_lines(reports):
             yield f"      first counterexample {ce.params}: lhs={ce.lhs} rhs={ce.rhs}"
 
 
-# verify --all --n-max 100, 120 and 140 took about 13, 26 and 38 s on one core
-# (2 cores, Python 3.11.7), growing about as n^3, so --n-max above this, about
-# half a minute, is refused.
+# verify --all --n-max 100, 120 and 140 took about 10, 17 and 32 s on one core
+# (2 cores, Python 3.11.7; 140 run through run_suite), growing about as n^3, so
+# --n-max above this, about half a minute, is refused.
 MAX_VERIFY_N = 120
 
 

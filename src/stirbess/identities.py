@@ -518,6 +518,5 @@ def run_suite(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
-            futures = {ident: pool.submit(verify, ident, n_max) for ident in ids}
-            return [futures[ident].result() for ident in ids]
+            return list(pool.map(verify, ids, itertools.repeat(n_max)))
     return [verify(ident, n_max, tables) for ident in ids]

@@ -49,11 +49,12 @@ moving the survivors to the front.
 Determinism: paths are partitioned into fixed blocks of ``BATCH_PATHS``;
 block b draws from a counter-based Philox stream keyed by (seed, b).  Each
 block reduces its per-path lattice counts to exact integer power sums
-[paths, sum(c), ..., sum(c^(2 * max_moment))] at each horizon, and the
-blocks' sums are added in block order, so the moments are exact functions
-of the counts.  A given ``SimConfig`` therefore produces bit-identical
-results regardless of the worker count, and a process holds one block's
-counts at a time, however many paths there are.
+[paths, sum(c), ..., sum(c^(2 * max_moment))] at each horizon, and each
+block's sums are added to one running total as they arrive, in block order,
+so the moments are exact functions of the counts.  A given ``SimConfig``
+therefore produces bit-identical results regardless of the worker count,
+and a process holds one block's counts at a time, however many paths there
+are.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -77,13 +78,10 @@ BATCH_PATHS = 32768
 # isqrt(steps) * (paths + ROUND_OVERHEAD_PATHS): at 10**8 steps one block of
 # 32768 paths took 11-13 s of CPU, 33-40 ns per unit, and 300 to 3000 paths
 # 48-54 ns per unit, so MAX_PATH_ROUNDS units are 50-80 s, about a minute of
-# one core.  MAX_PATHS bounds two things however short the walk.  The moment
-# estimates hold one block's counts at a time, but path_occupation_counts
-# still holds every count, about 24 bytes per path with the concatenation, so
-# MAX_PATHS keeps it near 800 MB.  And it caps the blocks at 1024:
-# _map_blocks returns every block's result in one list, which
-# estimate_moments_at holds whole, 2 * max_moment + 1 exact power sums per
-# horizon per block.
+# one core.  MAX_PATHS bounds what path_occupation_counts holds however short
+# the walk: every path's count, about 24 bytes per path with the
+# concatenation, so near 800 MB.  The moment estimates hold one block's counts
+# at a time.
 ROUND_OVERHEAD_PATHS = 1000
 MAX_PATH_ROUNDS = 15 * 10**8
 MAX_PATHS = 2**25
@@ -240,12 +238,12 @@ def _block_counts(alpha: float, horizons: tuple[int, ...], size: int, seed: int,
 def _power_sums(counts: np.ndarray, top: int) -> list[int]:
     """[len(counts), sum(c), sum(c^2), ..., sum(c^top)] as exact integers.
 
-    Read run by run: a run of k equal counts c adds k * c^n to sum(c^n), so
-    any order gives the same sums, and sorted counts make the runs as few as
-    the distinct values.  Nothing is allocated per value, however large."""
+    Read from the histogram: k counts equal to c add k * c^n to sum(c^n), so
+    the work goes by distinct values, and nothing is allocated per value,
+    however large."""
     sums = [int(counts.size)] + [0] * top
-    ends = np.append(np.flatnonzero(counts[1:] != counts[:-1]), counts.size - 1)  # each run's last index
-    for c, p in zip(counts[ends].tolist(), np.diff(ends, prepend=-1).tolist()):  # a run of p counts c
+    values, multiplicities = np.unique(counts, return_counts=True)
+    for c, p in zip(values.tolist(), multiplicities.tolist()):  # p counts equal c
         for n in range(1, top + 1):  # exact integers, one power at a time
             p *= c
             sums[n] += p
@@ -256,11 +254,8 @@ def _block_sums(
     alpha: float, horizons: tuple[int, ...], size: int, seed: int, block: int, top: int
 ) -> list[list[int]]:
     """One block's ``_power_sums`` up to order ``top`` at each horizon: all a
-    worker sends back, however many paths the block holds.  The rows are the
-    block's own, so they are sorted in place."""
-    occ = _block_counts(alpha, horizons, size, seed, block)
-    occ.sort(axis=1)
-    return [_power_sums(row, top) for row in occ]
+    worker sends back, however many paths the block holds."""
+    return [_power_sums(row, top) for row in _block_counts(alpha, horizons, size, seed, block)]
 
 
 def _intervals(config: SimConfig, time_fraction: Rational) -> int:
@@ -273,29 +268,26 @@ def _intervals(config: SimConfig, time_fraction: Rational) -> int:
     return intervals
 
 
-def _map_blocks(fn, config: SimConfig, horizons: tuple[int, ...], jobs: int, *extra) -> list:
-    """``fn(alpha, horizons, size, seed, block, *extra)`` for each block of
-    ``BATCH_PATHS`` paths, the last possibly short, in block order."""
-    blocks = []
-    start = 0
-    b = 0
-    while start < config.paths:
-        size = min(BATCH_PATHS, config.paths - start)
-        blocks.append((config.alpha, horizons, size, config.seed, b, *extra))
-        start += size
-        b += 1
+def _map_blocks(fn, config: SimConfig, horizons: tuple[int, ...], jobs: int, *extra) -> Iterator:
+    """Yield ``fn(alpha, horizons, size, seed, block, *extra)`` for each block
+    of ``BATCH_PATHS`` paths, the last possibly short, in block order."""
+    blocks = [
+        (config.alpha, horizons, min(BATCH_PATHS, config.paths - start), config.seed, b, *extra)
+        for b, start in enumerate(range(0, config.paths, BATCH_PATHS))
+    ]
     if jobs > 1 and len(blocks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
-            return list(pool.map(fn, *zip(*blocks)))
-    return [fn(*blk) for blk in blocks]
+            yield from pool.map(fn, *zip(*blocks))
+    else:
+        yield from map(fn, *zip(*blocks))
 
 
 def _horizon_counts(config: SimConfig, horizons: tuple[int, ...], jobs: int) -> np.ndarray:
     """Per-path counts for each of the sorted ``horizons``, one row each, in
     path order, from one walk per block."""
-    return np.concatenate(_map_blocks(_block_counts, config, horizons, jobs), axis=1)
+    return np.concatenate(list(_map_blocks(_block_counts, config, horizons, jobs)), axis=1)
 
 
 def path_occupation_counts(
@@ -308,7 +300,7 @@ def path_occupation_counts(
 
 
 def _summarize(counts: np.ndarray, config: SimConfig, t: Fraction) -> SimResult:
-    return _summary(_power_sums(np.sort(counts), 2 * config.max_moment), config, t)  # the caller keeps counts
+    return _summary(_power_sums(counts, 2 * config.max_moment), config, t)
 
 
 def _summary(power_sums: Sequence[int], config: SimConfig, t: Fraction) -> SimResult:
@@ -354,6 +346,8 @@ def estimate_moments_at(config: SimConfig, times: Sequence[Rational], jobs: int 
     fractions = [_rational_param("t", t) for t in times]
     intervals = [_intervals(config, t) for t in fractions]
     horizons = tuple(sorted(set(intervals)))
-    per_block = _map_blocks(_block_sums, config, horizons, jobs, 2 * config.max_moment)
-    totals = [[sum(column) for column in zip(*sums)] for sums in zip(*per_block)]  # block order, exact
+    top = 2 * config.max_moment
+    totals = [[0] * (top + 1) for _ in horizons]
+    for block in _map_blocks(_block_sums, config, horizons, jobs, top):  # folded in block order, exact
+        totals = [[a + b for a, b in zip(total, sums)] for total, sums in zip(totals, block)]
     return tuple(_summary(totals[horizons.index(i)], config, t) for i, t in zip(intervals, fractions))

@@ -274,7 +274,10 @@ class BiPoly(SparsePoly):
             by_x = defaultdict(list)
             for (i, j), c in self._terms.items():
                 by_x[i].append((j, c))
-            den = math.lcm(*(c.denominator for c in self._terms.values()))
+            den = 1
+            for c in self._terms.values():
+                if den % c.denominator:  # most denominators divide den already, and % is cheaper than lcm
+                    den = math.lcm(den, c.denominator)
             d = max(self.degree("z"), 0)
             rows = [(
                 i,

@@ -17,6 +17,7 @@ from stirbess.occupation import (
     SimConfig,
     _horizon_counts,
     _intervals,
+    _map_blocks,
     _power_sums,
     _summarize,
     _walk_counts,
@@ -216,6 +217,15 @@ class TestHorizons:
         monkeypatch.setattr("stirbess.occupation._horizon_counts", concatenated)
         full, half = estimate_moments_at(self.CONFIG, (1, Fraction(1, 2)))
         assert full.paths_used == half.paths_used == self.CONFIG.paths
+
+    def test_blocks_run_as_they_are_read(self, monkeypatch):
+        # at one worker a block runs only once the one before it is read, so
+        # the moment estimates hold one block's sums at a time
+        monkeypatch.setattr("stirbess.occupation.BATCH_PATHS", 1024)
+        ran = []
+        blocks = _map_blocks(lambda *blk: ran.append(blk[4]) or blk[2], self.CONFIG, (301,), 1)
+        assert next(blocks) == 1024 and ran == [0]
+        assert list(blocks) == [1024, 952] and ran == [0, 1, 2]
 
     def test_estimates_in_the_order_asked(self):
         full, half, again = estimate_moments_at(self.CONFIG, (1, Fraction(1, 2), 1))

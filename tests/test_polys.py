@@ -239,3 +239,29 @@ class TestFloatRefused:
         with pytest.raises(ValueError, match="^x must be an int or Fraction, not the float 0.5$"):
             pn_skew_bm(3)(0.5)
         assert pn_skew_bm(3)(Fraction(1, 2)) == Fraction(5, 16)
+
+
+class TestForeignOperands:
+    """An operand the polynomial types do not take gives NotImplemented, so
+    Python refuses it or, for ==, falls back to identity."""
+
+    def test_float_scalar_refused(self):
+        with pytest.raises(TypeError):
+            UniPoly([1, 2]) * 0.5
+        with pytest.raises(TypeError):
+            0.5 * UniPoly([1, 2])
+
+    def test_scalar_sum_and_difference_refused(self):
+        with pytest.raises(TypeError):
+            UniPoly([1]) + 1
+        with pytest.raises(TypeError):
+            UniPoly([1]) - 1
+
+    def test_equality_with_another_type_is_false(self):
+        assert (UniPoly([1]) == 1) is False
+        assert (BiPoly.x() == UniPoly([0, 1])) is False
+        assert (UniPoly([0, 1]) == BiPoly.x()) is False
+
+    def test_bipoly_scalar_product_refused(self):
+        with pytest.raises(TypeError):
+            BiPoly.x() * 2
