@@ -487,12 +487,11 @@ def _cmd_simulate(args) -> int | _Output:
             seed=args.seed,
         )
         jobs = _default_jobs(args.jobs)
-        if args.t is not None:
-            occupation._intervals(config, args.t)  # refuses a t outside (0, 1] or below one interval
+        with_t = args.t is not None
+        # refuses a t outside (0, 1] or below one interval before any walk
+        results = occupation.estimate_moments_at(config, (1, args.t) if with_t else (1,), jobs)
     except ValueError as exc:
         return _usage_error(str(exc))
-    with_t = args.t is not None
-    results = occupation.estimate_moments_at(config, (1, args.t) if with_t else (1,), jobs)
     z_values = [abs(m.z_score) for r in results for m in r.moments if m.z_score is not None]
     header = (["time_fraction"] if with_t else []) + ["n", "empirical_mean", "stderr", "exact", "z_score"]
     rows = (([str(r.time_fraction)] if with_t else []) + _moment_row(m) for r in results for m in r.moments)
@@ -537,7 +536,17 @@ def entry() -> None:
     # command makes a BLAS call, so those threads only cost start-up CPU; a
     # value the user set stays, and in-process main() calls leave it alone
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: point stdout at
+        # /dev/null so the interpreter's last flush cannot fail, and exit as a
+        # shell reports a process killed by SIGPIPE (128 + 13); SIGPIPE keeps
+        # Python's handling, as the process pools talk to their workers by pipes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

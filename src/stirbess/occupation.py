@@ -342,8 +342,11 @@ def estimate_moments(config: SimConfig, t: Rational = 1, jobs: int = 1) -> SimRe
 
 def estimate_moments_at(config: SimConfig, times: Sequence[Rational], jobs: int = 1) -> tuple[SimResult, ...]:
     """``estimate_moments`` at each time fraction in ``times``, in that order,
-    all read from one walk of the paths up to the latest of them."""
+    all read from one walk of the paths up to the latest of them.  Every t is
+    checked before any path is walked."""
     fractions = [_rational_param("t", t) for t in times]
+    if not fractions:
+        raise ValueError("times must hold at least one time fraction")
     intervals = [_intervals(config, t) for t in fractions]
     horizons = tuple(sorted(set(intervals)))
     top = 2 * config.max_moment

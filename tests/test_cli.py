@@ -329,9 +329,12 @@ class TestSimulate:
             assert code == 2 and out == "" and "max_moment" in err
         assert time.perf_counter() - start < 2.0
 
-    def test_t_out_of_range(self, capsys):
-        code, _, _ = run_cli(capsys, "simulate", "--alpha", "0.5", "--t", "0", "--steps", "10", "--paths", "10")
-        assert code == 2
+    def test_t_out_of_range(self, capsys, no_walk):
+        for t in ("0", "3/2"):
+            code, out, err = run_cli(
+                capsys, "simulate", "--alpha", "0.5", "--t", t, "--steps", "10", "--paths", "10", "--jobs", "1",
+            )
+            assert code == 2 and out == "" and "(0, 1]" in err, t
 
     def test_t_below_one_interval_refused(self, capsys, no_walk):
         # floor(t * steps) = 0 would compare a mean of 0 with the exact t/2 and report no z
@@ -691,6 +694,21 @@ def test_cli_process_runs_one_thread_after_simulate(preset, expected):
         if not threads:
             pytest.skip("no /proc/self/status to count threads")
         assert threads == "1"
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_closed_stdout_exits_141_quietly(fmt):
+    # a reader that stops after one line, as `| head -1` does, while the CLI
+    # still has far more than a pipe buffer to write: it exits as a shell
+    # reports a process killed by SIGPIPE, with no traceback
+    path = [str(Path(stirbess.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    argv = [sys.executable, "-m", "stirbess.cli", "triangle", "stirling2", "--n", "300", "--format", fmt]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141 and err == b"", err.decode()
 
 
 _CSV_TEXT = st.text(st.one_of(

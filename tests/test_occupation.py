@@ -452,6 +452,17 @@ class TestSelfSimilarity:
                 path_occupation_counts(config, t)
         assert _intervals(config, Fraction(1, 10)) == 1
 
+    def test_empty_times_refused_before_walking(self, monkeypatch):
+        from stirbess import occupation
+
+        def not_run(*args):
+            raise AssertionError("walked only to refuse the call")
+
+        monkeypatch.setattr(occupation, "_walk_counts", not_run)
+        config = SimConfig(alpha=0.5, steps=10, paths=10, max_moment=1, seed=1)
+        with pytest.raises(ValueError, match="times"):
+            estimate_moments_at(config, ())
+
 
 class TestSerialization:
     ARGS = ["simulate", "--alpha", "0.5", "--steps", "100", "--paths", "200", "--moments", "2", "--seed", "4",
