@@ -304,9 +304,9 @@ def _bipoly_output(args, poly) -> _Output:
 
 
 # poly pn runs the recurrence for P_n, whose cost grows fast with n: --n 160,
-# 200 and 240 took about 25 s, 65 s and 150 s on one core (2 cores, Python
-# 3.11.7), so --n above this, about a minute, is refused; pn-closed prints
-# the same polynomial much sooner.
+# 200 and 240 took about 17 s, 44 s and 110 s and peaked at 117, 249 and
+# 487 MB (2 cores, Python 3.11.7), so --n above this, about a minute, is
+# refused; pn-closed prints the same polynomial much sooner.
 MAX_PN_RECURRENCE_N = 200
 
 # poly kind: the ``families`` function that builds polynomial n, the (a, b) of

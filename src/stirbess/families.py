@@ -25,12 +25,12 @@ from .exactnum import binomial_int, factorial, times_linear
 from .polys import BiPoly, UniPoly
 from .triangles import Triangles
 
-_pn_cache: list[BiPoly] = [BiPoly(), BiPoly.x()]  # index n -> P_n; slot 0 unused
 _qn_cache: list[list[list[int]]] = [[], [[], [1]]]  # index n -> Q_n = (n-1)! P_n; see pn_recurrence
+_pn_cache: dict[int, BiPoly] = {1: BiPoly.x()}  # n -> P_n, for each n asked so far
 
 
 def pn_recurrence(n: int) -> BiPoly:
-    """P_n(x, z) built from the defining recurrence; prefix-cached.
+    """P_n(x, z) built from the defining recurrence.
 
     The recurrence runs in integer arithmetic on Q_n = (n-1)! P_n.  With
     R_{c,k}(z) = k! C(c+z, k) = (c+z) (c-1+z) ... (c-k+1+z), multiplying the
@@ -39,19 +39,21 @@ def pn_recurrence(n: int) -> BiPoly:
         Q_1 = x,
         Q_{n+1} = x * [R_{n,n}(z) - sum_{m=1..n} C(n, m-1) R_{n-m,n-m+1}(z) Q_m],
 
-    in which every coefficient is an integer.  Each Q_m is cached as dense
-    rows, the list of z coefficients for each power of x.  The only division
-    is the exact one by (n-1)! that turns Q_n into the cached ``BiPoly`` P_n.
+    in which every coefficient is an integer.  The cache holds Q_1, Q_2, ...
+    as far as the largest n asked, each as dense rows: the list of z
+    coefficients for each power of x.  A ``BiPoly`` is made only for the n
+    asked, when first asked, by the one exact division of Q_n by (n-1)!, and
+    kept for the next call.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    while len(_pn_cache) <= n:
-        m = len(_pn_cache)
-        _qn_cache.append(_next_q(m - 1))
-        denom = factorial(m - 1)
-        _pn_cache.append(BiPoly({
-            (i, j): Fraction(c, denom) for i, row in enumerate(_qn_cache[m]) for j, c in enumerate(row) if c
-        }))
+    while len(_qn_cache) <= n:
+        _qn_cache.append(_next_q(len(_qn_cache) - 1))
+    if n not in _pn_cache:
+        denom = factorial(n - 1)
+        _pn_cache[n] = BiPoly({
+            (i, j): Fraction(c, denom) for i, row in enumerate(_qn_cache[n]) for j, c in enumerate(row) if c
+        })
     return _pn_cache[n]
 
 

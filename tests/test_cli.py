@@ -154,9 +154,19 @@ class TestPoly:
         assert code == 0 and out.strip() == "x^1 z^0: 1"
 
     def test_pn_closed_equals_pn(self, capsys):
-        _, out_a, _ = run_cli(capsys, "poly", "pn", "--n", "5", "--format", "json")
-        _, out_b, _ = run_cli(capsys, "poly", "pn-closed", "--n", "5", "--format", "json")
-        assert json.loads(out_a)["terms"] == json.loads(out_b)["terms"]
+        # the recurrence and the closed form print the same bytes, json apart from "which";
+        # n = 1 covers the int coefficient of P_1 on both paths
+        for n in ("1", "2", "7", "40"):
+            for z in ((), ("--z", "-1/2"), ("--z", "3"), ("--z", "-1/3")):
+                for fmt in ("table", "csv", "json"):
+                    argv = ("--n", n, *z, "--format", fmt)
+                    code_a, out_a, _ = run_cli(capsys, "poly", "pn", *argv)
+                    code_b, out_b, _ = run_cli(capsys, "poly", "pn-closed", *argv)
+                    assert code_a == code_b == 0, argv
+                    if fmt == "json":
+                        assert json.loads(out_a)["which"] == "pn", argv
+                        out_a = out_a.replace('"which": "pn"', '"which": "pn-closed"', 1)
+                    assert out_a == out_b, argv
 
     def test_z_rejected_for_non_pn(self, capsys):
         code, _, err = run_cli(capsys, "poly", "chebyshev", "--n", "2", "--z", "1")
@@ -628,30 +638,38 @@ def test_default_jobs_counts_usable_cpus(monkeypatch):
 
 
 def test_exact_commands_do_not_import_numpy():
-    # a fresh interpreter, since other tests import numpy into this one
+    # a fresh interpreter, since other tests import numpy into this one; numpy is
+    # blocked there, so an import of it raises, in a forked pool worker too
     code = (
         "import io, sys\n"
         "from contextlib import redirect_stdout\n"
+        "sys.modules['numpy'] = None\n"
         "def loaded():\n"
         "    return {m for m in sys.modules if m.startswith('stirbess.')}\n"
         "def run(argv):\n"
         "    with redirect_stdout(io.StringIO()):\n"
         "        assert stirbess.cli.main(argv.split()) == 0, argv\n"
-        "    assert 'numpy' not in sys.modules, argv\n"
+        "    assert sys.modules['numpy'] is None, argv\n"
         "import stirbess\n"
         "assert not loaded(), ('import stirbess', loaded())\n"
         "assert stirbess.triangles is sys.modules['stirbess.triangles']\n"
         "import stirbess.cli\n"
-        "assert 'numpy' not in sys.modules, 'import stirbess.cli'\n"
+        "assert sys.modules['numpy'] is None, 'import stirbess.cli'\n"
         "assert loaded() == {'stirbess.cli', 'stirbess.triangles', 'stirbess.exactnum', 'stirbess.polys'}, loaded()\n"
         "run('triangle bessel-b --n 20 --format csv')\n"
+        "run('triangle gs --s 1/2 --h -3/2 --n 40 --format csv')\n"
+        "run('triangle stirling1-signed --n 60 --format table')\n"
         "assert not loaded() & {'stirbess.identities', 'stirbess.families'}, ('triangle', loaded())\n"
         "run('poly pn --n 6 --format json')\n"
+        "run('poly pn --n 12 --z -1/2 --format csv')\n"
+        "run('poly pn-closed --n 12 --format table')\n"
         "assert 'stirbess.families' in loaded() and 'stirbess.identities' not in loaded(), ('poly', loaded())\n"
         "run('verify --all --n-max 6 --jobs 1 --format json')\n"
         "from stirbess import identities, families, triangles\n"
-        "assert 'numpy' not in sys.modules, 'import identities, families, triangles'\n"
+        "assert sys.modules['numpy'] is None, 'import identities, families, triangles'\n"
         "assert 'concurrent.futures' not in sys.modules, 'the pools are imported only to start one'\n"
+        "run('verify --all --n-max 20 --format json')\n"
+        "del sys.modules['numpy']\n"
         "assert stirbess.SimConfig and stirbess.estimate_moments and stirbess.estimate_moments_at\n"
         "assert stirbess.SimResult\n"
         "assert 'numpy' in sys.modules\n"

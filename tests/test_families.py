@@ -72,11 +72,24 @@ class TestPnRecurrence:
         assert pn_recurrence(n)(x, z) == pn_value_by_numeric_recurrence(n, x, z)
 
     def test_cold_cache_filled_out_of_order(self):
-        # the tests above leave the P_n cache warm, so start from a fresh interpreter
+        # the tests above leave the P_n cache warm, so start from a fresh interpreter;
+        # each P_n is built once, when first asked for, from the integer rows kept
+        # for the largest n asked so far (P_1 is kept from the start)
         code = (
+            "from stirbess import families\n"
             "from stirbess.families import pn_closed_form, pn_recurrence\n"
-            "for n in (12, 5, 20, 21, 1):\n"
-            "    assert pn_recurrence(n) == pn_closed_form(n), n\n"
+            "built = []\n"
+            "class Counted(families.BiPoly):\n"
+            "    def __init__(self, *args, **kwargs):\n"
+            "        built.append(1)\n"
+            "        super().__init__(*args, **kwargs)\n"
+            "families.BiPoly = Counted\n"
+            "for n, new in ((40, 1), (12, 1), (12, 0), (5, 1), (20, 1), (41, 1), (21, 1), (1, 0), (40, 0)):\n"
+            "    before = len(built)\n"
+            "    p = pn_recurrence(n)\n"
+            "    assert len(built) - before == new, (n, len(built) - before)\n"
+            "    assert p is pn_recurrence(n) and p == pn_closed_form(n), n\n"
+            "assert type(pn_recurrence(1).coefficient(1, 0)) is int\n"
         )
         path = [str(Path(stirbess.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
